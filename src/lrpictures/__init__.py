@@ -8,7 +8,6 @@ backed by exhaustive enumeration, so each identity the library claims can be
 checked on concrete shapes via :mod:`lrpictures.sweeps` or the CLI.
 """
 
-from ._kernels import USING_NUMBA
 from .diagram import (
     SkewShape,
     add_box,
@@ -65,6 +64,9 @@ from .crystal import (
 )
 
 __version__ = "0.1.0"
+
+# Every code path is plain Python; the flag stays for tools that report it.
+USING_NUMBA = False
 
 __all__ = [
     "USING_NUMBA",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import serialize, sweeps
@@ -273,6 +274,8 @@ def _cmd_verify(args) -> int:
                 _emit(line)
                 if not report.passed:
                     failures += 1
+    if total == 0:
+        raise InputError(f"{args.what} --max-size {args.max_size} has nothing to check")
     print(f"{args.what}: {total - failures}/{total} ok", file=sys.stderr)
     return 1 if failures else 0
 
@@ -375,4 +378,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a closed stdout (``| head -1``) ends the process quietly, like any filter
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

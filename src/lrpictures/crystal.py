@@ -13,12 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
-from .diagram import Partition, SkewShape, as_partition, hook_partitions_up_to, is_hook
-from .lr import _order_columns, glmn_lr_tableaux
-from .reading import far_eastern, middle_eastern
+from .diagram import Partition, SkewShape, add_boxes, as_partition, hook_partitions_up_to, is_hook
+from .lr import glmn_lr_tableaux
+from .reading import _reader, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
 
 
@@ -72,10 +69,9 @@ def raise_(word, i: int) -> tuple[int, ...] | None:
 
 
 def is_highest_weight(word) -> bool:
-    """No raising operator applies."""
+    """No raising operator applies: every i+1 is cancelled, for every i."""
     word = _check_word(word)
-    top = max(word, default=1)
-    return all(raise_(word, i) is None for i in range(1, top))
+    return not any(_signature(word, i)[1] for i in range(1, max(word, default=1)))
 
 
 def weight(word) -> tuple[int, ...]:
@@ -108,16 +104,14 @@ class DecompositionReport:
         }
 
 
-def _strip(row) -> Partition:
-    out = tuple(int(v) for v in row)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+def _reading_words(shape: SkewShape, max_entry: int, order) -> list[tuple[int, ...]]:
+    read = _reader(shape, order)
+    return [read(e) for e in _fillings(shape, max_entry, max_entry)]
 
 
-def _reading_words(shape: SkewShape, max_entry: int, order) -> np.ndarray:
-    mat = _fillings(shape, max_entry, max_entry)
-    return mat[:, _order_columns(shape, order)]
+def _grown_shapes(y, words) -> Counter:
+    """Multiset of the shapes that replaying each word over ``y`` reaches."""
+    return Counter(z for z in (add_boxes(y, word) for word in words) if z is not None)
 
 
 def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
@@ -134,31 +128,18 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     if len(y) > r or len(w) > r:
         raise ValueError("shapes must have at most r rows")
     sy, sw = SkewShape(y), SkewShape(w)
-    y_arr = np.array(y, np.int64)
 
-    multisets = []
-    for make in (middle_eastern, far_eastern):
-        words = _reading_words(sw, r, make(sw))
-        shapes, ok = _kernels.growth_shapes(words, y_arr)
-        multisets.append(Counter(_strip(row) for row in shapes[ok]))
-    grown_me, grown_fe = multisets
+    grown_me, grown_fe = (
+        _grown_shapes(y, _reading_words(sw, r, make(sw))) for make in (middle_eastern, far_eastern)
+    )
 
     s_words = _reading_words(sy, r, middle_eastern(sy))
     t_words = _reading_words(sw, r, middle_eastern(sw))
-    pairs = np.hstack(
-        [
-            np.repeat(s_words, t_words.shape[0], axis=0),
-            np.tile(t_words, (s_words.shape[0], 1)),
-        ]
-    )
-    hw = _kernels.highest_mask(pairs)
-    weights = _kernels.letter_counts(pairs[hw], r)
-    from_highest = Counter(_strip(row) for row in weights)
+    pairs = (s + t for s in s_words for t in t_words)
+    from_highest = Counter(weight(word) for word in pairs if is_highest_weight(word))
 
-    lhs_card = s_words.shape[0] * t_words.shape[0]
-    rhs_card = sum(
-        mult * _fillings(SkewShape(shape), r, r).shape[0] for shape, mult in grown_me.items()
-    )
+    lhs_card = len(s_words) * len(t_words)
+    rhs_card = sum(mult * len(_fillings(SkewShape(shape), r, r)) for shape, mult in grown_me.items())
     passed = grown_me == grown_fe == from_highest and lhs_card == rhs_card
     return DecompositionReport(lhs_card, rhs_card, dict(grown_me), passed)
 
@@ -204,9 +185,7 @@ def glr_summand_shapes(y, w, r: int) -> dict[Partition, int]:
     """Multiset of shapes from the reading-replay route (one admissible order)."""
     y, w = as_partition(y), as_partition(w)
     sw = SkewShape(w)
-    words = _reading_words(sw, r, middle_eastern(sw))
-    shapes, ok = _kernels.growth_shapes(words, np.array(y, np.int64))
-    return dict(Counter(_strip(row) for row in shapes[ok]))
+    return dict(_grown_shapes(y, _reading_words(sw, r, middle_eastern(sw))))
 
 
 __all__ = [

@@ -89,36 +89,38 @@ def _cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
     return tuple(out)
 
 
+def _grow(rows: list, word) -> int:
+    """Append one box to row j of ``rows`` for each letter j of ``word``, in place.
+
+    Returns the 1-based index of the first letter whose box breaks the
+    weakly-decreasing row condition (``rows`` stops there), or 0.
+    """
+    for k, j in enumerate(word, start=1):
+        n = len(rows)
+        if j == n + 1:
+            rows.append(1)
+        elif 1 <= j <= n and (j == 1 or rows[j - 2] > rows[j - 1]):
+            rows[j - 1] += 1
+        else:
+            return k
+    return 0
+
+
 def add_box(y, j: int) -> Partition | None:
     """Append one box to row ``j`` of ``y``; None when the result is not a partition."""
-    y = tuple(y)
-    if j < 1 or j > len(y) + 1:
-        return None
-    if j == len(y) + 1:
-        return y + (1,)
-    if j >= 2 and y[j - 2] == y[j - 1]:
-        return None
-    return y[: j - 1] + (y[j - 1] + 1,) + y[j:]
+    rows = list(y)
+    return None if _grow(rows, (j,)) else tuple(rows)
 
 
 def add_boxes(y, word) -> Partition | None:
     """Left fold of add_box over ``word``; None as soon as any step fails."""
-    shape = as_partition(y)
-    for j in word:
-        shape = add_box(shape, j)
-        if shape is None:
-            return None
-    return shape
+    rows = list(as_partition(y))
+    return None if _grow(rows, word) else tuple(rows)
 
 
 def first_invalid_step(y, word) -> int | None:
     """1-based index of the first letter whose box addition fails, or None."""
-    shape = as_partition(y)
-    for k, j in enumerate(word, start=1):
-        shape = add_box(shape, j)
-        if shape is None:
-            return k
-    return None
+    return _grow(list(as_partition(y)), word) or None
 
 
 @lru_cache(maxsize=None)

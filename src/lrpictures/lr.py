@@ -15,15 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import _kernels
 from .diagram import SkewShape, add_boxes, as_partition, is_hook, partition_contains
 from .picture import Picture, is_admissible_picture, omega
-from .reading import AdmissibleOrder, far_eastern, is_admissible, middle_eastern, reading
+from .reading import (
+    AdmissibleOrder,
+    _is_lattice,
+    _reader,
+    far_eastern,
+    is_admissible,
+    is_lattice_permutation,
+    middle_eastern,
+    reading,
+)
 from .tableau import (
     Tableau,
-    _fillings,
+    _iter_fillings,
     _tableau_from_entries,
     content,
     is_semistandard,
@@ -33,12 +39,6 @@ from .tableau import (
 
 def _coerce_shape(w) -> SkewShape:
     return w if isinstance(w, SkewShape) else SkewShape(as_partition(w))
-
-
-def _order_columns(shape: SkewShape, order: AdmissibleOrder) -> np.ndarray:
-    """Column selector mapping row-major filling matrices to reading-order words."""
-    index = {c: k for k, c in enumerate(shape.cells())}
-    return np.array([index[c] for c in order.cells], np.int64)
 
 
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
@@ -64,7 +64,7 @@ def glr_lr_tableaux(
 ) -> tuple[Tableau, ...]:
     """All members of the classical family over shape ``w`` for the pair (y, z).
 
-    Brute force by construction: enumerate every semistandard filling with
+    Brute force by construction: stream every semistandard filling with
     entries up to ``max_entry`` (defaulting to the larger row count of ``w``
     and ``z``, which is always enough) and keep those whose reading drives the
     box additions from ``y`` exactly to ``z``.
@@ -74,6 +74,8 @@ def glr_lr_tableaux(
     order = _checked_order(shape, order)
     if max_entry is None:
         max_entry = max(len(shape.outer), len(z))
+    if max_entry < 0:
+        raise ValueError("max_entry must be nonnegative")
     return _glr_lr(shape, y, z, order, max_entry)
 
 
@@ -81,10 +83,12 @@ def glr_lr_tableaux(
 def _glr_lr(shape, y, z, order, max_entry) -> tuple[Tableau, ...]:
     if shape.size + sum(y) != sum(z):
         return ()
-    mat = _fillings(shape, max_entry, max_entry)
-    words = mat[:, _order_columns(shape, order)]
-    mask = _kernels.growth_mask(words, np.array(y, np.int64), np.array(z, np.int64))
-    return tuple(_tableau_from_entries(shape, row) for row in mat[mask])
+    read = _reader(shape, order)
+    return tuple(
+        _tableau_from_entries(shape, e)
+        for e in _iter_fillings(shape, max_entry, max_entry)
+        if add_boxes(y, read(e)) == z
+    )
 
 
 def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None) -> bool:
@@ -98,8 +102,7 @@ def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None
         return False
     if content(q) != w:
         return False
-    word = reading(q, order)
-    return bool(_kernels.lattice_ok(np.array(word, np.int64)))
+    return is_lattice_permutation(reading(q, order))
 
 
 def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tableau, ...]:
@@ -114,17 +117,13 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
 
 @lru_cache(maxsize=1 << 16)
 def _glmn_lr(y, w, shape, order) -> tuple[Tableau, ...]:
-    letters = len(w)
-    if shape.size == 0:
-        # the size check in the caller forces w == () here
-        return (Tableau(shape, ((),) * len(shape.outer)),)
-    if letters == 0:
-        return ()
-    mat = _fillings(shape, letters, letters)
-    mask = _kernels.content_mask(mat, np.array(w, np.int64))
-    words = mat[:, _order_columns(shape, order)]
-    mask &= _kernels.lattice_mask(words)
-    return tuple(_tableau_from_entries(shape, row) for row in mat[mask])
+    alphabet = range(1, len(w) + 1)
+    read = _reader(shape, order)
+    return tuple(
+        _tableau_from_entries(shape, e)
+        for e in _iter_fillings(shape, len(w), len(w))
+        if tuple(map(e.count, alphabet)) == w and _is_lattice(read(e))
+    )
 
 
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:

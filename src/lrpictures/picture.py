@@ -8,11 +8,6 @@ order-standard into the second order.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
-from . import _kernels
 from .diagram import Cell, SkewShape
 from .reading import AdmissibleOrder, is_admissible
 
@@ -80,13 +75,48 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
     return is_pa_standard(p.forward, a) and is_pa_standard(p.backward, a_prime)
 
 
-@lru_cache(maxsize=None)
-def _leq_matrix(cells: tuple[Cell, ...]) -> np.ndarray:
-    n = len(cells)
-    out = np.zeros((n, n), np.bool_)
-    for i, u in enumerate(cells):
-        for j, v in enumerate(cells):
-            out[i, j] = _leq_p(u, v)
+def _bijections(dom_cells, cod_cells, rank) -> list[tuple[int, ...]]:
+    """All bijections between two equal-size cell lists that respect both orders.
+
+    Position i of an assignment is ``dom_cells[i]``; its image is an index into
+    ``cod_cells``, whose ranks in the forward-side order are ``rank``.  A
+    candidate image c at position i survives when, against every earlier
+    assignment (j, c'):
+
+    * componentwise-comparable domain cells map to order-compatible ranks,
+      which confines rank[c] to a window set by the earlier images, and
+    * c is not componentwise below c' (the partial inverse must respect
+      assignment order), which an int bitset of blocked cells tracks.
+
+    Both conditions are pairwise and only ever get harder, so pruning on them
+    is exact.
+    """
+    n = len(cod_cells)
+    # below[c]: bitset of the codomain cells componentwise below c, c included
+    below = [sum(1 << d for d, v in enumerate(cod_cells) if _leq_p(v, u)) for u in cod_cells]
+    # rank_lt[r]: bitset of the codomain cells ranked below r
+    rank_lt = [sum(1 << c for c, r in enumerate(rank) if r < s) for s in range(n + 1)]
+    # earlier positions whose domain cell lies below / above the one at i
+    under = [[j for j in range(i) if _leq_p(dom_cells[j], dom_cells[i])] for i in range(n)]
+    over = [[j for j in range(i) if _leq_p(dom_cells[i], dom_cells[j])] for i in range(n)]
+    perm = [0] * n
+    out = []
+
+    def extend(i, blocked):
+        if i == n:
+            out.append(tuple(perm))
+            return
+        lo = max((rank[perm[j]] for j in under[i]), default=-1)
+        hi = min((rank[perm[j]] for j in over[i]), default=n)
+        free = rank_lt[hi] & ~rank_lt[lo + 1] & ~blocked
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            perm[i] = c
+            extend(i + 1, blocked | below[c])
+
+    extend(0, 0)
     return out
 
 
@@ -110,14 +140,9 @@ def enumerate_pictures(
         return ()
     dom_cells = a_prime.cells
     cod_cells = y.cells()
-    dom_leq = _leq_matrix(dom_cells)
-    cod_leq = _leq_matrix(cod_cells)
-    rank_a = np.array([a.rank(c) for c in cod_cells], np.int64)
-    perms = _kernels.enumerate_bijections(dom_leq, cod_leq, rank_a)
-    row_major = x.cells()
-    pics = []
-    for perm in perms:
-        forward = {dom_cells[i]: cod_cells[int(c)] for i, c in enumerate(perm)}
-        pics.append(Picture(x, y, forward))
-    pics.sort(key=lambda p: tuple(p.forward[c] for c in row_major))
-    return tuple(pics)
+    perms = _bijections(dom_cells, cod_cells, [a.rank(c) for c in cod_cells])
+    position = [dom_cells.index(c) for c in x.cells()]
+    perms.sort(key=lambda perm: [perm[i] for i in position])
+    return tuple(
+        Picture(x, y, {dom_cells[i]: cod_cells[c] for i, c in enumerate(perm)}) for perm in perms
+    )

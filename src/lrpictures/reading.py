@@ -9,10 +9,8 @@ reading each top to bottom.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
-import numpy as np
-
-from . import _kernels
 from .diagram import Cell, SkewShape
 from .tableau import Tableau
 
@@ -99,9 +97,28 @@ def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     return tuple(t.entry(i, j) for (i, j) in order.cells)
 
 
+def _reader(shape: SkewShape, order: AdmissibleOrder):
+    """A function taking a row-major entry vector of ``shape`` to its reading word in ``order``."""
+    index = {c: k for k, c in enumerate(shape.cells())}
+    picks = [index[c] for c in order.cells]
+    if len(picks) < 2:  # itemgetter returns a bare item for one index
+        return lambda entries: tuple(entries[k] for k in picks)
+    return itemgetter(*picks)
+
+
 def is_lattice_permutation(word) -> bool:
     """Every prefix holds at least as many letters i as i+1, for every i >= 1."""
     word = tuple(int(v) for v in word)
     if any(v < 1 for v in word):
         raise ValueError("letters must be positive")
-    return bool(_kernels.lattice_ok(np.array(word, np.int64)))
+    return _is_lattice(word)
+
+
+def _is_lattice(word) -> bool:
+    """The ballot test on a word of positive ints."""
+    counts = [0] * (max(word, default=0) + 1)
+    for v in word:
+        counts[v] += 1
+        if v > 1 and counts[v] > counts[v - 1]:
+            return False
+    return True

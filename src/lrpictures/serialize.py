@@ -14,12 +14,17 @@ from .reading import AdmissibleOrder
 from .tableau import Tableau
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``true``/``false`` load as bools, which Python counts as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def partition_to_obj(p: Partition) -> list[int]:
     return list(p)
 
 
 def partition_from_obj(obj) -> Partition:
-    if not isinstance(obj, list) or not all(isinstance(v, int) for v in obj):
+    if not isinstance(obj, list) or not all(_is_int(v) for v in obj):
         raise ValueError(f"a partition must be an array of ints, got {obj!r}")
     return as_partition(obj)
 
@@ -45,14 +50,14 @@ def tableau_from_obj(obj) -> Tableau:
         raise ValueError("a tableau must be an object with 'shape' and 'rows'")
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(
-        isinstance(r, list) and all(isinstance(e, int) for e in r) for r in rows
+        isinstance(r, list) and all(_is_int(e) for e in r) for r in rows
     ):
         raise ValueError("'rows' must be an array of int arrays")
     return Tableau(shape_from_obj(obj["shape"]), tuple(tuple(r) for r in rows))
 
 
 def cell_from_obj(obj) -> tuple[int, int]:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(v, int) for v in obj)):
+    if not (isinstance(obj, list) and len(obj) == 2 and all(_is_int(v) for v in obj)):
         raise ValueError(f"a cell must be a [row, col] pair, got {obj!r}")
     return (obj[0], obj[1])
 

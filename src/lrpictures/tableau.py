@@ -10,9 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import _kernels
 from .diagram import Cell, SkewShape, as_partition
 
 
@@ -176,19 +173,54 @@ def p_index(t: Tableau, cell: Cell) -> int:
     return count
 
 
-def _shape_neighbor_indices(shape: SkewShape):
+def _iter_fillings(shape: SkewShape, m: int, letters: int):
+    """Yield the row-major entry vectors of every filling of ``shape`` over the
+    alphabet 1..letters, in lexicographic order.
+
+    Letters 1..m behave like unbarred entries (weak along rows, strict down
+    columns), letters m+1..letters like barred ones (strict along rows, weak
+    down columns); classical semistandard fillings are the m == letters case.
+    A cell's lower bound comes from its left and upper neighbours, both
+    earlier in row-major order.
+    """
     cells = shape.cells()
     index = {c: k for k, c in enumerate(cells)}
-    left = np.array([index.get((i, j - 1), -1) for (i, j) in cells], np.int64)
-    up = np.array([index.get((i - 1, j), -1) for (i, j) in cells], np.int64)
-    return cells, left, up
+    left = [index.get((i, j - 1), -1) for i, j in cells]
+    up = [index.get((i - 1, j), -1) for i, j in cells]
+    n = len(cells)
+    if n == 0:
+        yield ()
+        return
+    e = [1] + [0] * (n - 1)
+    k = 0
+    while k >= 0:
+        if e[k] > letters:
+            k -= 1
+            if k >= 0:
+                e[k] += 1
+            continue
+        if k == n - 1:
+            yield tuple(e)
+            e[k] += 1
+            continue
+        k += 1
+        lb = 1
+        if left[k] >= 0:
+            v = e[left[k]]
+            lb = v + 1 if v > m else v
+        if up[k] >= 0:
+            v = e[up[k]]
+            if v <= m:
+                v += 1
+            if v > lb:
+                lb = v
+        e[k] = lb
 
 
-@lru_cache(maxsize=None)
-def _fillings(shape: SkewShape, m: int, letters: int) -> np.ndarray:
-    """Raw entry matrix for all fillings of ``shape``; see the kernel for the bound rule."""
-    _, left, up = _shape_neighbor_indices(shape)
-    return _kernels.enumerate_fillings(left, up, m, letters)
+@lru_cache(maxsize=256)
+def _fillings(shape: SkewShape, m: int, letters: int) -> tuple[tuple[int, ...], ...]:
+    """Every entry vector of _iter_fillings, kept for callers that reread them."""
+    return tuple(_iter_fillings(shape, m, letters))
 
 
 def _tableau_from_entries(shape: SkewShape, entries) -> Tableau:
@@ -196,28 +228,21 @@ def _tableau_from_entries(shape: SkewShape, entries) -> Tableau:
     k = 0
     for i in range(1, len(shape.outer) + 1):
         width = shape.outer[i - 1] - shape.inner_width(i)
-        rows.append(tuple(int(e) for e in entries[k : k + width]))
+        rows.append(tuple(entries[k : k + width]))
         k += width
     return Tableau(shape, tuple(rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard fillings of ``shape`` with entries in 1..max_entry,
     in lexicographic order of the row-major entry vector."""
     if max_entry < 0:
         raise ValueError("max_entry must be nonnegative")
-    if shape.size > 0 and max_entry == 0:
-        return ()
-    mat = _fillings(shape, max_entry, max_entry)
-    return tuple(_tableau_from_entries(shape, row) for row in mat)
+    return tuple(_tableau_from_entries(shape, e) for e in _iter_fillings(shape, max_entry, max_entry))
 
 
-def _decode_glmn(e: int, m: int) -> int:
-    return e if e <= m else -(e - m)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_glmn(shape: SkewShape, m: int, n: int) -> tuple[Tableau, ...]:
     """All two-family semistandard fillings of ``shape`` over the (m, n) alphabet.
 
@@ -226,11 +251,7 @@ def enumerate_glmn(shape: SkewShape, m: int, n: int) -> tuple[Tableau, ...]:
     """
     if m < 0 or n < 0:
         raise ValueError("alphabet sizes must be nonnegative")
-    if shape.size > 0 and m + n == 0:
-        return ()
-    mat = _fillings(shape, m, m + n)
-    out = []
-    for row in mat:
-        entries = [_decode_glmn(int(e), m) for e in row]
-        out.append(_tableau_from_entries(shape, entries))
-    return tuple(out)
+    return tuple(
+        _tableau_from_entries(shape, [e if e <= m else m - e for e in entries])
+        for entries in _iter_fillings(shape, m, m + n)
+    )

@@ -8,10 +8,9 @@ stated. The heavy sweeps are shared across tests through session fixtures.
 import random
 import time
 
-import numpy as np
 import pytest
 
-from lrpictures import _kernels, sweeps
+from lrpictures import sweeps
 from lrpictures.crystal import (
     is_highest_weight,
     verify_decomposition_glmn,
@@ -34,17 +33,7 @@ INDEPENDENCE_ORDERS = ("ME", "FE", "seed:0", "seed:1", "seed:2", "seed:3", "seed
 
 
 @pytest.fixture(scope="session")
-def warm_kernels():
-    # touch every jitted kernel once so the timed runs below measure the
-    # algorithms, not compilation
-    sweeps.check_triple((1,), (1,), (2,), specs=("ME",))
-    verify_decomposition_glr((1,), (1,), 2)
-    buf = np.zeros(4, np.int64)
-    _kernels.grow_rows(buf, 0, np.array([1], np.int64))
-
-
-@pytest.fixture(scope="session")
-def hook_sweep(warm_kernels):
+def hook_sweep():
     """Every triple with y inside z, |z| <= 8, under the round-trip orders."""
     t0 = time.perf_counter()
     records = sweeps.run_sweep(
@@ -57,7 +46,7 @@ def hook_sweep(warm_kernels):
 
 
 @pytest.fixture(scope="session")
-def independence_sweep(warm_kernels):
+def independence_sweep():
     """|z| <= 7 under seven orders, sets only (no picture enumeration)."""
     t0 = time.perf_counter()
     records = sweeps.run_sweep(
@@ -70,7 +59,7 @@ def independence_sweep(warm_kernels):
     return records, time.perf_counter() - t0
 
 
-def test_worked_example_reproduction(criterion_log, warm_kernels):
+def test_worked_example_reproduction(criterion_log):
     y, w, z = (5, 2, 1), (3, 2, 2, 1), (6, 4, 2, 2, 2)
     zy = SkewShape(z, y)
     displayed = {
@@ -186,7 +175,7 @@ def test_family_identity_over_the_skew_shape(criterion_log, independence_sweep):
     assert ok
 
 
-def test_product_decompositions(criterion_log, warm_kernels):
+def test_product_decompositions(criterion_log):
     t0 = time.perf_counter()
     shapes = partitions_up_to(4, max_rows=3)
     glr_ok = all(
@@ -214,7 +203,7 @@ def test_product_decompositions(criterion_log, warm_kernels):
     assert elapsed < 600.0
 
 
-def test_lattice_word_characterization(criterion_log, warm_kernels):
+def test_lattice_word_characterization(criterion_log):
     rng = random.Random(20260815)
     agree = True
     lattice_count = 0
@@ -236,7 +225,7 @@ def test_lattice_word_characterization(criterion_log, warm_kernels):
     assert lattice_count > 0
 
 
-def test_roundtrips_with_skew_reading_shapes(criterion_log, warm_kernels):
+def test_roundtrips_with_skew_reading_shapes(criterion_log):
     t0 = time.perf_counter()
     records = sweeps.run_sweep(
         sweeps.skew_w_triples(3, 3, 5, 8),

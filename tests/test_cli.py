@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrpictures
 from lrpictures import cli
+
+SRC = str(Path(lrpictures.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -224,3 +231,56 @@ def test_usage_error_is_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "what",
+    ["roundtrip", "order-independence", "coefficients", "decomposition-glr", "decomposition-glmn"],
+)
+def test_vacuous_sweep_is_exit_2(capsys, what):
+    # a sweep that checks nothing is not a pass
+    code, out, err = run(capsys, "verify", what, "--max-size", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nothing to check" in err
+
+
+def test_negative_max_entry_is_exit_2(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "lrglr", "--y", "1", "--w", "1", "--z", "2", "--max-entry", "-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_entry" in err
+
+
+def test_closed_stdout_is_not_a_failure():
+    # like `lrpictures enumerate ssyt ... | head -1`: the reader leaves after one
+    # line, long before the 8 MB of output is written
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from lrpictures.cli import main; main()",
+         "enumerate", "ssyt", "--shape", "6,5,4", "--max-entry", "6"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait()
+    assert json.loads(first)["rows"] == [[1] * 6, [2] * 5, [3] * 4]
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    assert code != 1
+
+
+def test_cli_import_leaves_numpy_and_numba_out():
+    code = "import sys, lrpictures.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

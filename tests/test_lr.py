@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import filling_of, glmn_lr_oracle, glr_lr_oracle
-from lrpictures.diagram import SkewShape
+from lrpictures.diagram import SkewShape, partition_contains, partitions_of
 from lrpictures.lr import (
     companion_tableau,
     companion_tableau_via_pictures,
@@ -127,6 +127,34 @@ def test_both_families_match_their_oracles(triple, spec):
     assert ours2 == theirs2
 
 
+@settings(max_examples=25)
+@given(sts.partitions(max_size=4), sts.partitions(max_size=4), st.sampled_from(["ME", "FE", "3"]))
+def test_lr_families_come_in_lexicographic_order(y, w, spec):
+    # whatever the reading order, members are listed by row-major entry vector
+    def make(shape):
+        if spec == "ME":
+            return middle_eastern(shape)
+        if spec == "FE":
+            return far_eastern(shape)
+        return random_admissible_order(shape, int(spec))
+
+    def increasing(family):
+        keys = [tuple(e for row in t.rows for e in row) for t in family]
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    sw = SkewShape(w)
+    for z in partitions_of(sum(y) + sum(w)):
+        assert increasing(glr_lr_tableaux(sw, y, z, order=make(sw)))
+        if partition_contains(z, y):
+            assert increasing(glmn_lr_tableaux(y, w, z, order=make(SkewShape(z, y))))
+
+
+def test_negative_max_entry_is_refused():
+    with pytest.raises(ValueError, match="max_entry must be nonnegative"):
+        glr_lr_tableaux(SkewShape((1,)), (1,), (2,), max_entry=-3)
+    assert glr_lr_tableaux(SkewShape((1,)), (1,), (2,), max_entry=0) == ()
+
+
 def test_order_must_be_admissible():
     from lrpictures.reading import AdmissibleOrder
 
@@ -196,8 +224,6 @@ def test_lr_coefficient_validation():
 @given(sts.partitions(max_size=4), sts.partitions(max_size=4))
 def test_coefficient_symmetry(y, w):
     # c stays the same when the two tensor factors swap
-    from lrpictures.diagram import partitions_of
-
     total = sum(y) + sum(w)
     for z in partitions_of(total):
         a = lr_coefficient(y, w, z, 4, 4)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import pictures_oracle
-from lrpictures.diagram import SkewShape
+from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.picture import (
     Picture,
     enumerate_pictures,
@@ -132,6 +132,21 @@ def test_enumerate_matches_oracle(x, y, spec_a, spec_ap):
     ours = {tuple(sorted(p.forward.items())) for p in enumerate_pictures(x, y, a, a_prime)}
     theirs = {tuple(sorted(f.items())) for f in pictures_oracle(x, y, a, a_prime)}
     assert ours == theirs
+
+
+def test_pictures_come_sorted_by_image_sequence():
+    # every pair of 3-cell skew shapes inside size 5, under four order pairs
+    shapes = [
+        s for s in (SkewShape(o, i) for o in partitions_up_to(5) for i in subdiagrams(o))
+        if s.size == 3
+    ]
+    for x in shapes:
+        for y in shapes:
+            for make_a in (middle_eastern, far_eastern):
+                for make_ap in (middle_eastern, far_eastern):
+                    pics = enumerate_pictures(x, y, make_a(y), make_ap(x))
+                    keys = [tuple(p(c) for c in x.cells()) for p in pics]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @settings(max_examples=15)

@@ -68,3 +68,21 @@ def test_order_roundtrip():
 def test_tableau_shape_row_mismatch_is_loud():
     with pytest.raises(ValueError):
         serialize.tableau_from_obj({"shape": {"outer": [2]}, "rows": [[1]]})
+
+
+@pytest.mark.parametrize(
+    "load, obj",
+    [
+        (serialize.partition_from_obj, [2, True]),
+        (serialize.shape_from_obj, {"outer": [2, 1], "inner": [True]}),
+        (serialize.tableau_from_obj, {"shape": {"outer": [1]}, "rows": [[True]]}),
+        (serialize.picture_from_obj, {
+            "domain": {"outer": [1]}, "codomain": {"outer": [1]}, "map": [[[1, True], [1, 1]]],
+        }),
+        (serialize.order_from_obj, [[True, 1]]),
+    ],
+)
+def test_json_booleans_are_not_ints(load, obj):
+    # bool is an int subclass in Python, but true is not a row length, an entry or a coordinate
+    with pytest.raises(ValueError):
+        load(obj)

@@ -179,6 +179,15 @@ def test_glmn_members_pass_the_predicate(shape, m, n):
         assert is_glmn_semistandard(t, m, n)
 
 
+@settings(max_examples=30)
+@given(sts.skew_shapes(max_size=5), st.integers(0, 2), st.integers(0, 2))
+def test_fillings_come_in_lexicographic_order(shape, m, n):
+    # row-major entry vectors, compared under the alphabet order
+    for family in (enumerate_ssyt(shape, m + n), enumerate_glmn(shape, m, n)):
+        keys = [tuple(entry_key(e) for row in t.rows for e in row) for t in family]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_glmn_straight_nonempty_iff_hook():
     # fillings of a straight shape exist exactly when the shape fits the hook
     from lrpictures.diagram import is_hook, partitions_up_to
