@@ -27,9 +27,8 @@ from .lr import (
     tableau_to_picture,
 )
 from .picture import enumerate_pictures, omega
-from .reading import is_admissible
 from .render import render_picture, render_shape, render_tableau
-from .tableau import Tableau, content, enumerate_glmn, enumerate_ssyt
+from .tableau import content, enumerate_glmn, enumerate_ssyt
 
 
 class InputError(Exception):
@@ -62,6 +61,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except OSError as e:
         raise InputError(str(e)) from None
 
@@ -70,14 +71,8 @@ def _resolve_order(spec: str | None, shape: SkewShape, seed: int):
     if spec is None:
         spec = "ME"
     if spec.startswith("@"):
-        order = serialize.order_from_obj(_load_json(spec[1:]))
-        if not is_admissible(order, shape):
-            raise InputError(f"order in {spec[1:]} is not admissible on {shape}")
-        return order
-    try:
-        return sweeps.resolve_order(spec, shape, seed)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+        return serialize.order_from_obj(_load_json(spec[1:]))
+    return sweeps.resolve_order(spec, shape, seed)
 
 
 def _emit(obj):
@@ -123,20 +118,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _expect_tableau(obj) -> Tableau:
-    try:
-        return serialize.tableau_from_obj(obj)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-
-
-def _expect_picture(obj):
-    try:
-        return serialize.picture_from_obj(obj)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-
-
 def _check_flag(name: str, given: str | None, actual) -> None:
     if given is not None and _parse_partition(given) != actual:
         raise InputError(f"--{name} {given} does not match the input's {name} = {actual}")
@@ -144,35 +125,32 @@ def _check_flag(name: str, given: str | None, actual) -> None:
 
 def _cmd_map(args) -> int:
     obj = _load_json(args.input)
-    try:
-        if args.name in ("phi", "phitilde"):
-            p = _expect_picture(obj)
-            _check_flag("z", args.z, p.codomain.outer)
-            _check_flag("y", args.y, p.codomain.inner)
-            _emit(serialize.tableau_to_obj(picture_to_tableau(p, verify=True)))
-        elif args.name == "psi":
-            t = _expect_tableau(obj)
-            if args.y is None:
-                raise InputError("psi needs --y (the inner shape of the target)")
-            p = tableau_to_picture(t, _parse_partition(args.y), verify=True)
-            _check_flag("z", args.z, p.codomain.outer)
-            _emit(serialize.picture_to_obj(p))
-        elif args.name == "psitilde":
-            t = _expect_tableau(obj)
-            _check_flag("y", args.y, t.shape.inner)
-            _check_flag("z", args.z, t.shape.outer)
-            _emit(serialize.picture_to_obj(tableau_to_picture(t, (), verify=True)))
-        elif args.name == "phihat":
-            q = _expect_tableau(obj)
-            _check_flag("y", args.y, q.shape.inner)
-            _check_flag("z", args.z, q.shape.outer)
-            _check_flag("w", args.w, content(q))
-            _emit(serialize.tableau_to_obj(companion_tableau(q, verify=True)))
-        else:
-            p = _expect_picture(obj)
-            _emit(serialize.picture_to_obj(omega(p)))
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    if args.name in ("phi", "phitilde"):
+        p = serialize.picture_from_obj(obj)
+        _check_flag("z", args.z, p.codomain.outer)
+        _check_flag("y", args.y, p.codomain.inner)
+        _emit(serialize.tableau_to_obj(picture_to_tableau(p, verify=True)))
+    elif args.name == "psi":
+        t = serialize.tableau_from_obj(obj)
+        if args.y is None:
+            raise InputError("psi needs --y (the inner shape of the target)")
+        p = tableau_to_picture(t, _parse_partition(args.y), verify=True)
+        _check_flag("z", args.z, p.codomain.outer)
+        _emit(serialize.picture_to_obj(p))
+    elif args.name == "psitilde":
+        t = serialize.tableau_from_obj(obj)
+        _check_flag("y", args.y, t.shape.inner)
+        _check_flag("z", args.z, t.shape.outer)
+        _emit(serialize.picture_to_obj(tableau_to_picture(t, (), verify=True)))
+    elif args.name == "phihat":
+        q = serialize.tableau_from_obj(obj)
+        _check_flag("y", args.y, q.shape.inner)
+        _check_flag("z", args.z, q.shape.outer)
+        _check_flag("w", args.w, content(q))
+        _emit(serialize.tableau_to_obj(companion_tableau(q, verify=True)))
+    else:
+        p = serialize.picture_from_obj(obj)
+        _emit(serialize.picture_to_obj(omega(p)))
     return 0
 
 
@@ -181,14 +159,11 @@ def _cmd_render(args) -> int:
     if isinstance(obj, list):
         out = render_shape(SkewShape(serialize.partition_from_obj(obj)), args.render)
     elif isinstance(obj, dict) and "rows" in obj:
-        out = render_tableau(_expect_tableau(obj), args.render)
+        out = render_tableau(serialize.tableau_from_obj(obj), args.render)
     elif isinstance(obj, dict) and "map" in obj:
-        out = render_picture(_expect_picture(obj), args.render)
+        out = render_picture(serialize.picture_from_obj(obj), args.render)
     elif isinstance(obj, dict) and "outer" in obj:
-        try:
-            out = render_shape(serialize.shape_from_obj(obj), args.render)
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        out = render_shape(serialize.shape_from_obj(obj), args.render)
     else:
         raise InputError("input is not a partition, shape, tableau, or picture")
     sys.stdout.write(out + "\n")
@@ -369,10 +344,7 @@ def run(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:  # the library refuses bad input with ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .diagram import Partition, SkewShape, add_boxes, as_partition, hook_partitions_up_to, is_hook
+from .diagram import (
+    Partition, SkewShape, _add_boxes, as_partition, hook_partitions_up_to, is_hook,
+)
 from .lr import glmn_lr_tableaux
-from .reading import _reader, far_eastern, middle_eastern
+from .reading import _check_word, _reader, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
 
 
@@ -32,13 +34,6 @@ def _signature(word, i):
             else:
                 minus.append(pos)
     return plus, minus
-
-
-def _check_word(word):
-    word = tuple(int(v) for v in word)
-    if any(v < 1 for v in word):
-        raise ValueError("letters must be positive")
-    return word
 
 
 def lower(word, i: int) -> tuple[int, ...] | None:
@@ -110,8 +105,8 @@ def _reading_words(shape: SkewShape, max_entry: int, order) -> list[tuple[int, .
 
 
 def _grown_shapes(y, words) -> Counter:
-    """Multiset of the shapes that replaying each word over ``y`` reaches."""
-    return Counter(z for z in (add_boxes(y, word) for word in words) if z is not None)
+    """Multiset of the shapes that replaying each word over the canonical ``y`` reaches."""
+    return Counter(z for z in (_add_boxes(y, word) for word in words) if z is not None)
 
 
 def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:

@@ -106,16 +106,20 @@ def _grow(rows: list, word) -> int:
     return 0
 
 
+def _add_boxes(y: Partition, word) -> Partition | None:
+    """add_boxes on a partition that is already canonical."""
+    rows = list(y)
+    return None if _grow(rows, word) else tuple(rows)
+
+
 def add_box(y, j: int) -> Partition | None:
     """Append one box to row ``j`` of ``y``; None when the result is not a partition."""
-    rows = list(y)
-    return None if _grow(rows, (j,)) else tuple(rows)
+    return _add_boxes(y, (j,))
 
 
 def add_boxes(y, word) -> Partition | None:
     """Left fold of add_box over ``word``; None as soon as any step fails."""
-    rows = list(as_partition(y))
-    return None if _grow(rows, word) else tuple(rows)
+    return _add_boxes(as_partition(y), word)
 
 
 def first_invalid_step(y, word) -> int | None:

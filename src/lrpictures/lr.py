@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import SkewShape, add_boxes, as_partition, is_hook, partition_contains
+from .diagram import SkewShape, _add_boxes, as_partition, is_hook, partition_contains
 from .picture import Picture, is_admissible_picture, omega
 from .reading import (
     AdmissibleOrder,
@@ -37,10 +37,6 @@ from .tableau import (
 )
 
 
-def _coerce_shape(w) -> SkewShape:
-    return w if isinstance(w, SkewShape) else SkewShape(as_partition(w))
-
-
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
     if order is None:
         return middle_eastern(shape)
@@ -56,7 +52,7 @@ def is_glr_lr_tableau(t: Tableau, y, z, order: AdmissibleOrder | None = None) ->
     order = _checked_order(t.shape, order)
     if not is_semistandard(t):
         return False
-    return add_boxes(y, reading(t, order)) == z
+    return _add_boxes(y, reading(t, order)) == z
 
 
 def glr_lr_tableaux(
@@ -69,7 +65,7 @@ def glr_lr_tableaux(
     and ``z``, which is always enough) and keep those whose reading drives the
     box additions from ``y`` exactly to ``z``.
     """
-    shape = _coerce_shape(w)
+    shape = w if isinstance(w, SkewShape) else SkewShape(w)
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
     if max_entry is None:
@@ -87,7 +83,7 @@ def _glr_lr(shape, y, z, order, max_entry) -> tuple[Tableau, ...]:
     return tuple(
         _tableau_from_entries(shape, e)
         for e in _iter_fillings(shape, max_entry, max_entry)
-        if add_boxes(y, read(e)) == z
+        if _add_boxes(y, read(e)) == z
     )
 
 
@@ -108,10 +104,12 @@ def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None
 def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tableau, ...]:
     """All two-family LR tableaux for the triple, or () on degenerate input."""
     y, w, z = as_partition(y), as_partition(w), as_partition(z)
-    if not partition_contains(z, y) or sum(y) + sum(w) != sum(z):
+    if not partition_contains(z, y):
         return ()
     shape = SkewShape(z, y)
     order = _checked_order(shape, order)
+    if sum(y) + sum(w) != sum(z):
+        return ()
     return _glmn_lr(y, w, shape, order)
 
 
@@ -155,7 +153,7 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
     word = reading(t, middle_eastern(t.shape))
     if any(v < 1 for v in word):
         raise ValueError("tableau_to_picture expects plain (unbarred) entries")
-    outer = add_boxes(base, word)
+    outer = _add_boxes(base, word)
     if outer is None:
         raise ValueError("reading word does not grow the base into a partition")
     codomain = SkewShape(outer, base)
@@ -185,7 +183,7 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
         if target in grid:
             raise ValueError(f"two cells of the input land on {target}")
         grid[target] = cell[0]
-    shape = SkewShape(as_partition(w))
+    shape = SkewShape(w)
     if set(grid) != set(shape.cells()):
         raise ValueError("input content is not a partition shape; not an LR tableau")
     rows = tuple(

@@ -70,7 +70,7 @@ def is_pa_standard(mapping, target: AdmissibleOrder) -> bool:
 
 def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrder) -> bool:
     """``a`` orders the codomain cells, ``a_prime`` the domain cells."""
-    if set(a.cells) != set(p.codomain.cells()) or set(a_prime.cells) != set(p.domain.cells()):
+    if not (is_admissible(a, p.codomain) and is_admissible(a_prime, p.domain)):
         raise ValueError("orders do not match the picture's shapes")
     return is_pa_standard(p.forward, a) and is_pa_standard(p.backward, a_prime)
 

@@ -3,12 +3,15 @@
 A total order on a cell set is admissible when every cell weakly northeast of
 another (row at most, column at least) comes first. The two classical examples
 scan rows top to bottom reading each right to left, and columns right to left
-reading each top to bottom.
+reading each top to bottom. An ``AdmissibleOrder`` is checked once, when it
+is built (the constructors below are memoized), and ``is_admissible`` only
+asks whether it lists the cells of a given shape.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from operator import itemgetter
 
 from .diagram import Cell, SkewShape
@@ -16,7 +19,8 @@ from .tableau import Tableau
 
 
 class AdmissibleOrder:
-    """A total order on a finite cell set, stored as the explicit sequence."""
+    """An admissible order on a finite cell set, stored as the explicit sequence;
+    building one from a sequence that is not admissible raises ValueError."""
 
     __slots__ = ("cells", "_rank")
 
@@ -24,6 +28,10 @@ class AdmissibleOrder:
         cells = tuple((int(i), int(j)) for i, j in cells)
         if len(set(cells)) != len(cells):
             raise ValueError("order repeats a cell")
+        for a, u in enumerate(cells):
+            for v in cells[a + 1 :]:
+                if _must_precede(v, u):
+                    raise ValueError(f"order is not admissible: {v} must come before {u}")
         self.cells = cells
         self._rank = {c: k for k, c in enumerate(cells)}
 
@@ -51,28 +59,25 @@ def _must_precede(u: Cell, v: Cell) -> bool:
     return u != v and u[0] <= v[0] and u[1] >= v[1]
 
 
+@lru_cache(maxsize=1 << 12)
 def middle_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Rows top to bottom, each row right to left."""
     return AdmissibleOrder(sorted(shape.cells(), key=lambda c: (c[0], -c[1])))
 
 
+@lru_cache(maxsize=1 << 12)
 def far_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Columns right to left, each column top to bottom."""
     return AdmissibleOrder(sorted(shape.cells(), key=lambda c: (-c[1], c[0])))
 
 
 def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
-    """True when ``order`` lists exactly the cells of ``shape`` northeast-first."""
-    cells = order.cells
-    if set(cells) != set(shape.cells()) or len(cells) != shape.size:
-        return False
-    for a, u in enumerate(cells):
-        for v in cells[a + 1 :]:
-            if _must_precede(v, u):
-                return False
-    return True
+    """True when ``order`` lists exactly the cells of ``shape``; the order
+    itself is admissible by construction."""
+    return order._rank.keys() == set(shape.cells())
 
 
+@lru_cache(maxsize=1 << 12)
 def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
     """A random admissible order, drawn by repeatedly picking uniformly among
     the cells that no remaining cell is forced to precede. Deterministic in
@@ -92,7 +97,7 @@ def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
 
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     """The entries of ``t`` listed in ``order``."""
-    if set(order.cells) != set(t.cells()):
+    if not is_admissible(order, t.shape):
         raise ValueError("order does not cover the cells of the tableau")
     return tuple(t.entry(i, j) for (i, j) in order.cells)
 
@@ -106,12 +111,17 @@ def _reader(shape: SkewShape, order: AdmissibleOrder):
     return itemgetter(*picks)
 
 
-def is_lattice_permutation(word) -> bool:
-    """Every prefix holds at least as many letters i as i+1, for every i >= 1."""
+def _check_word(word) -> tuple[int, ...]:
+    """``word`` as a tuple of ints; ValueError unless every letter is positive."""
     word = tuple(int(v) for v in word)
     if any(v < 1 for v in word):
         raise ValueError("letters must be positive")
-    return _is_lattice(word)
+    return word
+
+
+def is_lattice_permutation(word) -> bool:
+    """Every prefix holds at least as many letters i as i+1, for every i >= 1."""
+    return _is_lattice(_check_word(word))
 
 
 def _is_lattice(word) -> bool:

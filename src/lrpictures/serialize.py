@@ -80,7 +80,10 @@ def picture_from_obj(obj) -> Picture:
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"each map item must be a [cell, cell] pair, got {pair!r}")
-        forward[cell_from_obj(pair[0])] = cell_from_obj(pair[1])
+        u = cell_from_obj(pair[0])
+        if u in forward:
+            raise ValueError(f"'map' lists the domain cell {list(u)} twice")
+        forward[u] = cell_from_obj(pair[1])
     return Picture(shape_from_obj(obj["domain"]), shape_from_obj(obj["codomain"]), forward)
 
 

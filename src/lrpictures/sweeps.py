@@ -89,7 +89,7 @@ def check_triple(
 ) -> dict:
     """Run every per-triple verification; ``w`` may be a partition or a skew shape."""
     y, z = as_partition(y), as_partition(z)
-    w_shape = w if isinstance(w, SkewShape) else SkewShape(as_partition(w))
+    w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
     straight = not w_shape.inner
     zy = SkewShape(z, y)
     r = max(len(w_shape.outer), len(z))
@@ -141,9 +141,7 @@ def check_triple(
 
 
 def _worker(task) -> dict:
-    y, w, z, specs, seed, roundtrips, identity, pictures = task
-    w_shape = SkewShape(*w) if isinstance(w, tuple) and w and isinstance(w[0], tuple) else w
-    return check_triple(y, w_shape, z, specs, seed, roundtrips, identity, pictures)
+    return check_triple(*task)
 
 
 def run_sweep(
@@ -158,16 +156,15 @@ def run_sweep(
     """check_triple over every triple, in a canonical deterministic order."""
     if not specs:
         raise ValueError("at least one order spec is required")
-    tasks = []
-    for y, w, z in triples:
-        key = w if isinstance(w, SkewShape) else None
-        packed = (key.outer, key.inner) if key is not None else as_partition(w)
-        tasks.append((y, packed, z, tuple(specs), seed, roundtrips, identity, pictures))
+    rest = (tuple(specs), seed, roundtrips, identity, pictures)
+    tasks = [
+        (y, w if isinstance(w, SkewShape) else as_partition(w), z, *rest) for y, w, z in triples
+    ]
 
     def _key(t):
-        w = t[1]
-        flat = (1,) + w[0] + (-1,) + w[1] if w and isinstance(w[0], tuple) else (0,) + w
-        return (sum(t[2]), t[2], t[0], flat)
+        y, w, z = t[:3]
+        flat = (1,) + w.outer + (-1,) + w.inner if isinstance(w, SkewShape) else (0,) + w
+        return (sum(z), z, y, flat)
 
     tasks.sort(key=_key)
     if jobs <= 1:

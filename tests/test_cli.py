@@ -211,6 +211,33 @@ def test_order_file_is_honored(capsys, tmp_path):
     assert "admissible" in err
 
 
+def test_deeply_nested_json_is_exit_2(tmp_path):
+    # json.load gives up with RecursionError long before 100,000 levels
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from lrpictures.cli import main; main()",
+         "render", "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "nested too deeply" in proc.stderr
+
+
+def test_repeated_map_cell_is_exit_2(capsys, tmp_path):
+    one = {"outer": [1]}
+    path = tmp_path / "pic.json"
+    path.write_text(json.dumps({"domain": one, "codomain": one, "map": [[[1, 1], [1, 1]]] * 2}))
+    code, out, err = run(capsys, "map", "phi", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "twice" in err
+
+
 def test_render_cli(capsys, tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps([2, 1]))

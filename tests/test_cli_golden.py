@@ -1,0 +1,92 @@
+"""CLI stdout against recorded sha256 digests.
+
+Stdout is part of the contract: identical input gives byte-identical output,
+across releases as well as across runs.  Each case runs one command in
+process through ``cli.run`` and compares the exit code and the sha256 of
+everything it wrote to stdout with the values recorded for it.  Together the
+cases cover every ``enumerate`` family, every order kind (ME, FE,
+``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and two ``verify``
+sweeps.  A case whose output is meant to change gets its digest re-recorded
+in the same change, with the reason.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from lrpictures import cli
+
+# an admissible order on the cells of (3, 3) that is neither ME nor FE
+ORDER_FILE = [[1, 3], [1, 2], [2, 3], [2, 2], [1, 1], [2, 1]]
+
+# a two-family LR tableau of y=(2,1), w=(2,1), z=(3,2,1), as `enumerate lr` prints it
+LR_MEMBER = '{"shape":{"outer":[3,2,1],"inner":[2,1]},"rows":[[1],[1],[2]]}\n'
+
+# (command, stdin, exit code, sha256 of stdout)
+CASES = {
+    "enumerate ssyt": (
+        "enumerate ssyt --shape 3,2/1 --max-entry 3", None, 0,
+        "43934d151d868e19d2ff855df49fe12bd7b83c9a1d6242e122be664895685ed0",
+    ),
+    "enumerate glmn": (
+        "enumerate glmn --shape 2,2 --m 1 --n 2", None, 0,
+        "2c2c231935fa570047f2a89c4cc4e8168f24bc4718a4fa98c99605312ae7353c",
+    ),
+    "enumerate lr, ME by default": (
+        "enumerate lr --y 3,2,1 --w 3,2,1 --z 5,4,2,1", None, 0,
+        "058f5b4925e07231695c1e0ccebb0f986afa2b8cb3bf240d187bdb8bbcc6054f",
+    ),
+    "enumerate lr, FE": (
+        "enumerate lr --y 3,2,1 --w 3,2,1 --z 5,4,2,1 --order FE", None, 0,
+        "058f5b4925e07231695c1e0ccebb0f986afa2b8cb3bf240d187bdb8bbcc6054f",
+    ),
+    "enumerate lrglr, seed order on a skew shape": (
+        "enumerate lrglr --y 2,1 --w 3,2/1 --z 4,2,1 --order seed:3 --seed 2", None, 0,
+        "3946bba1b99f26689375a0ddf38710a30ded360ec101ed9145b865229041e3ae",
+    ),
+    "enumerate lrglr, @file": (
+        "enumerate lrglr --y 2,1 --w 3,3 --z 4,3,2 --order @{order}", None, 0,
+        "d8e7fd563b97efd8dd7a648d4c679d62a4e259ba089e6103aa212f0c8f0bc15b",
+    ),
+    "enumerate pictures, seed and @file": (
+        "enumerate pictures --domain 3,3 --codomain 4,3,2/2,1 --order seed:1 --order2 @{order}",
+        None, 0,
+        "cff87f7d724afceb4f936d642d754c300979ef948539299b7db28b32372c29b3",
+    ),
+    "coeff": (
+        "coeff --y 2,1 --w 2,1 --z 3,2,1 --m 2 --n 2", None, 0,
+        "7c57724cf0b72b8b5efb0835ff783a1efe29760c5f3c1bc2ae21e303344fe07d",
+    ),
+    "map phihat on stdin": (
+        "map phihat --input -", LR_MEMBER, 0,
+        "616ffb4ec2d5dd024c312518de66dbcd263ace811661870d42272ed9b02878a2",
+    ),
+    "verify roundtrip": (
+        "verify roundtrip --max-size 4", None, 0,
+        "4baaa4f22ed0bfaca2a2d5eff059e07614fc0dfcb93351382a1333b100787b96",
+    ),
+    "verify decomposition-glmn": (
+        "verify decomposition-glmn --max-size 3 --m 1 --n 1", None, 0,
+        "9184dba4b4417ff2675061662a1937d4fee0f165b8fb3c8bce0d78794406a6ec",
+    ),
+}
+
+
+def run_case(command, stdin, tmp_path, capsys, monkeypatch):
+    """Exit code and stdout of one CLI command run in this process."""
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps(ORDER_FILE))
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    code = cli.run(command.format(order=order).split())
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_stdout_matches_recorded_digest(name, tmp_path, capsys, monkeypatch):
+    command, stdin, expect_code, expect_digest = CASES[name]
+    code, out = run_case(command, stdin, tmp_path, capsys, monkeypatch)
+    assert code == expect_code
+    assert out, "a recorded command prints something"
+    assert hashlib.sha256(out.encode()).hexdigest() == expect_digest

@@ -156,14 +156,25 @@ def test_negative_max_entry_is_refused():
 
 
 def test_order_must_be_admissible():
+    from lrpictures import serialize
     from lrpictures.reading import AdmissibleOrder
 
     s = SkewShape((2, 2))
-    bad = AdmissibleOrder([(1, 1), (1, 2), (2, 1), (2, 2)])
+    # a row-major sequence is refused when the order is built
+    row_major = [(1, 1), (1, 2), (2, 1), (2, 2)]
     with pytest.raises(ValueError):
-        glr_lr_tableaux(s, (), (2, 2), order=bad)
+        AdmissibleOrder(row_major)
     with pytest.raises(ValueError):
-        glmn_lr_tableaux((), (2, 2), (2, 2), order=bad)
+        serialize.order_from_obj([list(c) for c in row_major])
+    # an order on the wrong cell set is refused where it is used
+    wrong = middle_eastern(SkewShape((2, 1)))
+    with pytest.raises(ValueError):
+        glr_lr_tableaux(s, (), (2, 2), order=wrong)
+    with pytest.raises(ValueError):
+        glmn_lr_tableaux((), (2, 2), (2, 2), order=wrong)
+    # also when the sizes of the triple do not add up
+    with pytest.raises(ValueError):
+        glmn_lr_tableaux((), (1,), (2, 2), order=wrong)
 
 
 def test_picture_to_tableau_on_the_small_example():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import lattice_oracle
+from lrpictures import serialize
 from lrpictures.diagram import SkewShape
 from lrpictures.reading import (
     AdmissibleOrder,
@@ -41,10 +42,33 @@ def test_is_admissible():
     s = SkewShape((2, 2))
     assert is_admissible(middle_eastern(s), s)
     assert is_admissible(far_eastern(s), s)
-    # row-major violates the constraint: (1,2) must come before (1,1)
-    assert not is_admissible(AdmissibleOrder([(1, 1), (1, 2), (2, 1), (2, 2)]), s)
+    # row-major violates the constraint, (1,2) must come before (1,1), so no
+    # such order can be built, whichever way the sequence comes in
+    row_major = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    with pytest.raises(ValueError, match="admissible"):
+        AdmissibleOrder(row_major)
+    with pytest.raises(ValueError, match="admissible"):
+        serialize.order_from_obj([list(c) for c in row_major])
+    with pytest.raises(ValueError, match="admissible"):
+        AdmissibleOrder([(1, 1), (1, 2)])
     # wrong cell set
     assert not is_admissible(middle_eastern(s), SkewShape((2, 1)))
+    assert not is_admissible(middle_eastern(SkewShape((2, 1))), s)
+
+
+@given(sts.skew_shapes(max_size=6), st.integers(0, 10), st.data())
+def test_swapping_adjacent_cells_keeps_admissibility_iff_incomparable(shape, seed, data):
+    cells = list(random_admissible_order(shape, seed).cells)
+    if len(cells) < 2:
+        return
+    k = data.draw(st.integers(0, len(cells) - 2))
+    (i, j), (i2, j2) = cells[k], cells[k + 1]
+    cells[k], cells[k + 1] = cells[k + 1], cells[k]
+    if i <= i2 and j >= j2:  # the first was weakly northeast of the second
+        with pytest.raises(ValueError):
+            AdmissibleOrder(cells)
+    else:
+        assert is_admissible(AdmissibleOrder(cells), shape)
 
 
 @given(sts.skew_shapes(max_size=6))
@@ -57,6 +81,7 @@ def test_canonical_orders_are_admissible(shape):
 def test_random_orders_admissible_and_deterministic(shape, seed):
     order = random_admissible_order(shape, seed)
     assert is_admissible(order, shape)
+    random_admissible_order.cache_clear()  # draw again rather than read the memo
     assert order == random_admissible_order(shape, seed)
 
 

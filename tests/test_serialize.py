@@ -9,6 +9,15 @@ from lrpictures.reading import middle_eastern
 from lrpictures.tableau import Tableau, from_rows
 
 
+def test_picture_map_lists_each_domain_cell_once():
+    one = {"outer": [1], "inner": []}
+    obj = {"domain": one, "codomain": one, "map": [[[1, 1], [1, 1]]]}
+    assert serialize.picture_from_obj(obj).forward == {(1, 1): (1, 1)}
+    obj["map"] = obj["map"] * 2
+    with pytest.raises(ValueError, match="twice"):
+        serialize.picture_from_obj(obj)
+
+
 def test_partition_roundtrip():
     assert serialize.partition_from_obj(serialize.partition_to_obj((3, 1))) == (3, 1)
     assert serialize.partition_from_obj([]) == ()

@@ -85,6 +85,14 @@ def test_run_sweep_deterministic_and_parallel():
     assert all(sweeps.record_ok(r) for r in serial)
 
 
+def test_run_sweep_skew_w_parallel_matches_serial():
+    triples = sweeps.skew_w_triples(2, 2, 2, 3)
+    serial = sweeps.run_sweep(triples, specs=("ME", "seed:1"))
+    assert any(rec["w"][1] for rec in serial)
+    assert serial == sweeps.run_sweep(list(reversed(triples)), specs=("ME", "seed:1"), jobs=2)
+    assert all(sweeps.record_ok(r) for r in serial)
+
+
 def test_run_sweep_rejects_empty_specs():
     with pytest.raises(ValueError):
         sweeps.run_sweep([((), (), ())], specs=())
