@@ -79,7 +79,7 @@ class SkewShape:
         return f"SkewShape({self.outer}, {self.inner})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
     out = []
     for i, row in enumerate(outer, start=1):
@@ -127,7 +127,7 @@ def first_invalid_step(y, word) -> int | None:
     return _grow(list(as_partition(y)), word) or None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = None) -> tuple[Partition, ...]:
     """All partitions of ``n``, in decreasing lexicographic order."""
     if n < 0:
@@ -156,7 +156,7 @@ def partitions_up_to(n: int, max_rows: int | None = None, max_cols: int | None =
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def subdiagrams(z) -> tuple[Partition, ...]:
     """All partitions whose diagram is contained in the diagram of ``z``."""
     z = as_partition(z)

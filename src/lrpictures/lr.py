@@ -4,10 +4,11 @@ tableaux and pictures.
 The classical family for a triple (Y, W, Z) holds the semistandard fillings T
 of shape W whose reading word, taken in an admissible order, grows Y into Z
 one box at a time. The two-family (super) side holds the semistandard skew
-fillings of Z/Y with content W whose reading word is a lattice permutation.
-The maps below realize both as picture sets and carry one family to the
-other; all of them are verified elementwise by brute-force enumeration in the
-test suite.
+fillings of Z/Y with content W whose reading word is a lattice permutation,
+that is, whose reading grows the empty diagram into W; one pruned search
+builds both. The maps below realize both as picture sets and carry one family
+to the other; all of them are verified elementwise by brute-force enumeration
+in the test suite.
 """
 
 from __future__ import annotations
@@ -19,22 +20,13 @@ from .diagram import SkewShape, _add_boxes, as_partition, is_hook, partition_con
 from .picture import Picture, is_admissible_picture, omega
 from .reading import (
     AdmissibleOrder,
-    _is_lattice,
-    _reader,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
     middle_eastern,
     reading,
 )
-from .tableau import (
-    Tableau,
-    _iter_fillings,
-    _tableau_from_entries,
-    content,
-    is_semistandard,
-    p_index,
-)
+from .tableau import Tableau, _tableau_from_entries, content, is_semistandard, p_index
 
 
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
@@ -60,31 +52,17 @@ def glr_lr_tableaux(
 ) -> tuple[Tableau, ...]:
     """All members of the classical family over shape ``w`` for the pair (y, z).
 
-    Brute force by construction: stream every semistandard filling with
-    entries up to ``max_entry`` (defaulting to the larger row count of ``w``
-    and ``z``, which is always enough) and keep those whose reading drives the
-    box additions from ``y`` exactly to ``z``.
+    Built directly by the pruned search ``_lr_fillings``. Every entry of a
+    member is a row of ``z``, so ``max_entry`` only matters below ``len(z)``,
+    where it keeps the members whose entries stay at or under it.
     """
     shape = w if isinstance(w, SkewShape) else SkewShape(w)
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
-    if max_entry is None:
-        max_entry = max(len(shape.outer), len(z))
-    if max_entry < 0:
+    top = len(z) if max_entry is None else max_entry
+    if top < 0:
         raise ValueError("max_entry must be nonnegative")
-    return _glr_lr(shape, y, z, order, max_entry)
-
-
-@lru_cache(maxsize=1 << 16)
-def _glr_lr(shape, y, z, order, max_entry) -> tuple[Tableau, ...]:
-    if shape.size + sum(y) != sum(z):
-        return ()
-    read = _reader(shape, order)
-    return tuple(
-        _tableau_from_entries(shape, e)
-        for e in _iter_fillings(shape, max_entry, max_entry)
-        if _add_boxes(y, read(e)) == z
-    )
+    return _glr_lr(shape, y, z, order, min(top, len(z)))
 
 
 def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None) -> bool:
@@ -92,36 +70,76 @@ def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None
     condition, content ``w``, and a lattice reading word."""
     y, w, z = as_partition(y), as_partition(w), as_partition(z)
     order = _checked_order(q.shape, order)
-    if q.shape != SkewShape(z, y):
+    if not partition_contains(z, y) or q.shape != SkewShape(z, y):
         return False
-    if not is_semistandard(q):
-        return False
-    if content(q) != w:
+    if not is_semistandard(q) or content(q) != w:
         return False
     return is_lattice_permutation(reading(q, order))
 
 
 def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tableau, ...]:
-    """All two-family LR tableaux for the triple, or () on degenerate input."""
+    """All two-family LR tableaux for the triple, or () on degenerate input.
+
+    A reading word with content ``w`` is a lattice permutation exactly when
+    it grows the empty diagram into ``w`` one box at a time, so this is the
+    classical search on Z/Y for the pair ((), w).
+    """
     y, w, z = as_partition(y), as_partition(w), as_partition(z)
     if not partition_contains(z, y):
         return ()
     shape = SkewShape(z, y)
     order = _checked_order(shape, order)
-    if sum(y) + sum(w) != sum(z):
+    return _glmn_lr(shape, (), w, order, len(w))
+
+
+def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
+    """The semistandard fillings of ``shape`` with entries at most ``top`` (at
+    most ``len(z)``) whose reading in ``order`` grows ``y`` into ``z``, sorted
+    by row-major entry vector.
+
+    A depth-first loop fills the cells along ``order``, which puts a cell's
+    right and upper neighbours first: they bound its entry from above and
+    below. Letter v is tried only if a box in row v keeps the grown diagram a
+    partition inside ``z``.
+    """
+    if shape.size + sum(y) != sum(z) or not partition_contains(z, y):
         return ()
-    return _glmn_lr(y, w, shape, order)
+    cells = order.cells
+    n = len(cells)
+    rank = order._rank
+    right = [rank.get((i, j + 1), -1) for i, j in cells]
+    up = [rank.get((i - 1, j), -1) for i, j in cells]
+    row_major = [rank[c] for c in shape.cells()]
+    rows = list(y) + [0] * (len(z) - len(y))
+    e = [0] * n
+    found = []
+    k, v = 0, 1
+    while True:
+        if k == n:
+            found.append(tuple(e[p] for p in row_major))
+        else:
+            hi = e[right[k]] if right[k] >= 0 else top
+            while v <= hi and (rows[v - 1] == z[v - 1] or (v > 1 and rows[v - 2] == rows[v - 1])):
+                v += 1
+            if v <= hi:
+                e[k] = v
+                rows[v - 1] += 1
+                k += 1
+                v = e[up[k]] + 1 if k < n and up[k] >= 0 else 1
+                continue
+        k -= 1
+        if k < 0:
+            break
+        v = e[k]
+        rows[v - 1] -= 1
+        v += 1
+    found.sort()
+    return tuple(_tableau_from_entries(shape, entries) for entries in found)
 
 
-@lru_cache(maxsize=1 << 16)
-def _glmn_lr(y, w, shape, order) -> tuple[Tableau, ...]:
-    alphabet = range(1, len(w) + 1)
-    read = _reader(shape, order)
-    return tuple(
-        _tableau_from_entries(shape, e)
-        for e in _iter_fillings(shape, len(w), len(w))
-        if tuple(map(e.count, alphabet)) == w and _is_lattice(read(e))
-    )
+# one cache per family, each cleared by name in perfbench/record_corpus.py
+_glr_lr = lru_cache(maxsize=1 << 16)(_lr_fillings)
+_glmn_lr = lru_cache(maxsize=1 << 16)(_lr_fillings)
 
 
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:
@@ -222,8 +240,7 @@ def lr_coefficient(y, w, z, m: int, n: int, verify: bool = False) -> LRCoefficie
             raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
     if sum(y) + sum(w) != sum(z):
         return LRCoefficient(0, 0)
-    r = max(len(w), len(z))
-    c = len(glr_lr_tableaux(SkewShape(w), y, z, max_entry=r))
+    c = len(glr_lr_tableaux(SkewShape(w), y, z))
     n_super = len(glmn_lr_tableaux(y, w, z))
     if verify and c != n_super:
         raise ValueError(f"count mismatch for ({y}, {w}, {z}): {c} != {n_super}")

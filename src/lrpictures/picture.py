@@ -76,47 +76,66 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
 
 
 def _bijections(dom_cells, cod_cells, rank) -> list[tuple[int, ...]]:
-    """All bijections between two equal-size cell lists that respect both orders.
+    """All bijections from a cell list onto the cells of a skew shape that
+    respect both orders, found by a depth-first loop.
 
     Position i of an assignment is ``dom_cells[i]``; its image is an index into
     ``cod_cells``, whose ranks in the forward-side order are ``rank``.  A
-    candidate image c at position i survives when, against every earlier
-    assignment (j, c'):
+    candidate image c at position i survives when:
 
     * componentwise-comparable domain cells map to order-compatible ranks,
       which confines rank[c] to a window set by the earlier images, and
-    * c is not componentwise below c' (the partial inverse must respect
-      assignment order), which an int bitset of blocked cells tracks.
-
-    Both conditions are pairwise and only ever get harder, so pruning on them
-    is exact.
+    * every codomain cell componentwise below c is already an image (the
+      partial inverse must respect assignment order).  The images form a
+      down-set, so in a skew shape, which is convex, c qualifies once its left
+      and upper neighbours are images; an int bitset tracks such cells.
     """
     n = len(cod_cells)
-    # below[c]: bitset of the codomain cells componentwise below c, c included
-    below = [sum(1 << d for d, v in enumerate(cod_cells) if _leq_p(v, u)) for u in cod_cells]
+    if n == 0:
+        return [()]
+    index = {c: k for k, c in enumerate(cod_cells)}
+    # preds[c]: bitset of the left and upper neighbours of c; succs[c]: the others
+    preds = [sum(1 << index[v] for v in ((i, j - 1), (i - 1, j)) if v in index) for i, j in cod_cells]
+    succs = [[index[v] for v in ((i, j + 1), (i + 1, j)) if v in index] for i, j in cod_cells]
     # rank_lt[r]: bitset of the codomain cells ranked below r
     rank_lt = [sum(1 << c for c, r in enumerate(rank) if r < s) for s in range(n + 1)]
     # earlier positions whose domain cell lies below / above the one at i
     under = [[j for j in range(i) if _leq_p(dom_cells[j], dom_cells[i])] for i in range(n)]
     over = [[j for j in range(i) if _leq_p(dom_cells[i], dom_cells[j])] for i in range(n)]
     perm = [0] * n
+    ranks = [0] * n  # rank[perm[j]]
+    at = ranks.__getitem__
+    # at position i: candidates not tried yet, images so far, cells that qualify
+    free = [0] * n
+    placed = [0] * n
+    ready = [0] * n
+    ready[0] = free[0] = sum(1 << c for c in range(n) if not preds[c])
     out = []
-
-    def extend(i, blocked):
-        if i == n:
+    i = 0
+    while i >= 0:
+        left = free[i]
+        if not left:
+            i -= 1
+            continue
+        bit = left & -left
+        free[i] = left ^ bit
+        c = bit.bit_length() - 1
+        perm[i] = c
+        if i == n - 1:
             out.append(tuple(perm))
-            return
-        lo = max((rank[perm[j]] for j in under[i]), default=-1)
-        hi = min((rank[perm[j]] for j in over[i]), default=n)
-        free = rank_lt[hi] & ~rank_lt[lo + 1] & ~blocked
-        while free:
-            bit = free & -free
-            free ^= bit
-            c = bit.bit_length() - 1
-            perm[i] = c
-            extend(i + 1, blocked | below[c])
-
-    extend(0, 0)
+            continue
+        ranks[i] = rank[c]
+        now = placed[i] | bit
+        avail = ready[i] ^ bit
+        for d in succs[c]:
+            if not preds[d] & ~now:
+                avail |= 1 << d
+        i += 1
+        placed[i] = now
+        ready[i] = avail
+        lo = max(map(at, under[i]), default=-1)
+        hi = min(map(at, over[i]), default=n)
+        free[i] = rank_lt[hi] & ~rank_lt[lo + 1] & avail
     return out
 
 

@@ -22,7 +22,7 @@ class AdmissibleOrder:
     """An admissible order on a finite cell set, stored as the explicit sequence;
     building one from a sequence that is not admissible raises ValueError."""
 
-    __slots__ = ("cells", "_rank")
+    __slots__ = ("cells", "_rank", "_row_major")
 
     def __init__(self, cells):
         cells = tuple((int(i), int(j)) for i, j in cells)
@@ -34,6 +34,7 @@ class AdmissibleOrder:
                     raise ValueError(f"order is not admissible: {v} must come before {u}")
         self.cells = cells
         self._rank = {c: k for k, c in enumerate(cells)}
+        self._row_major = tuple(sorted(cells))
 
     def rank(self, cell: Cell) -> int:
         return self._rank[cell]
@@ -74,7 +75,7 @@ def far_eastern(shape: SkewShape) -> AdmissibleOrder:
 def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
     """True when ``order`` lists exactly the cells of ``shape``; the order
     itself is admissible by construction."""
-    return order._rank.keys() == set(shape.cells())
+    return order._row_major == shape.cells()
 
 
 @lru_cache(maxsize=1 << 12)
@@ -121,11 +122,7 @@ def _check_word(word) -> tuple[int, ...]:
 
 def is_lattice_permutation(word) -> bool:
     """Every prefix holds at least as many letters i as i+1, for every i >= 1."""
-    return _is_lattice(_check_word(word))
-
-
-def _is_lattice(word) -> bool:
-    """The ballot test on a word of positive ints."""
+    word = _check_word(word)
     counts = [0] * (max(word, default=0) + 1)
     for v in word:
         counts[v] += 1

@@ -168,7 +168,7 @@ def test_family_identity_over_the_skew_shape(criterion_log, independence_sweep):
     records, _ = independence_sweep
     ok = all(rec["identity_ok"] for rec in records)
     criterion_log.record(
-        "two-family LR set equals the classical family over the skew shape",
+        "two-family LR sets: every member has content w and a lattice reading",
         ok,
         f"{len(records)} triples",
     )

@@ -57,31 +57,29 @@ def test_enumerate_glmn(capsys):
     assert len(lines(out)) == 2
 
 
-def test_enumerate_lr_and_map_phihat(capsys):
+def test_enumerate_lr_and_map_phihat(capsys, tmp_path):
     code, out, _ = run(
         capsys, "enumerate", "lr", "--y", "5,2,1", "--w", "3,2,2,1", "--z", "6,4,2,2,2"
     )
     assert code == 0
     records = lines(out)
     assert len(records) == 3
-    with open("/tmp/lr_member.json", "w") as fh:
-        json.dump(records[0], fh)
-    code, out, _ = run(capsys, "map", "phihat", "--input", "/tmp/lr_member.json")
+    member = tmp_path / "lr_member.json"
+    member.write_text(json.dumps(records[0]))
+    code, out, _ = run(capsys, "map", "phihat", "--input", str(member))
     assert code == 0
     assert lines(out) == [
         {"shape": {"outer": [3, 2, 2, 1], "inner": []}, "rows": [[1, 2, 2], [3, 4], [4, 5], [5]]}
     ]
 
 
-def test_map_flag_mismatch_is_exit_2(capsys):
+def test_map_flag_mismatch_is_exit_2(capsys, tmp_path):
     code, out, _ = run(
         capsys, "enumerate", "lr", "--y", "5,2,1", "--w", "3,2,2,1", "--z", "6,4,2,2,2"
     )
-    with open("/tmp/lr_member.json", "w") as fh:
-        json.dump(lines(out)[0], fh)
-    code, _, err = run(
-        capsys, "map", "phihat", "--input", "/tmp/lr_member.json", "--w", "9"
-    )
+    member = tmp_path / "lr_member.json"
+    member.write_text(json.dumps(lines(out)[0]))
+    code, _, err = run(capsys, "map", "phihat", "--input", str(member), "--w", "9")
     assert code == 2
     assert "does not match" in err
 
@@ -226,6 +224,21 @@ def test_deeply_nested_json_is_exit_2(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "nested too deeply" in proc.stderr
+
+
+def test_picture_search_is_not_bounded_by_the_recursion_limit():
+    # 1100 cells is deeper than Python's default recursion limit of 1000
+    proc = subprocess.run(
+        [sys.executable, "-c", "from lrpictures.cli import main; main()",
+         "enumerate", "pictures", "--domain", "1100", "--codomain", "1100"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (picture,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(picture["map"]) == 1100
+    assert "Traceback" not in proc.stderr
 
 
 def test_repeated_map_cell_is_exit_2(capsys, tmp_path):

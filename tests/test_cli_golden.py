@@ -50,6 +50,16 @@ CASES = {
         "enumerate lrglr --y 2,1 --w 3,3 --z 4,3,2 --order @{order}", None, 0,
         "d8e7fd563b97efd8dd7a648d4c679d62a4e259ba089e6103aa212f0c8f0bc15b",
     ),
+    # entries never exceed len(z) = 3, and z/y has no box in row 3, so a cap
+    # below and a cap above len(z) both print the whole family
+    "enumerate lrglr, max entry below len(z)": (
+        "enumerate lrglr --y 3,1,1 --w 3,2/1 --z 5,3,1 --max-entry 2", None, 0,
+        "ddb5d5f704796b3e6499db4e3ab68480a461c296f09c70186f8a926256e690b9",
+    ),
+    "enumerate lrglr, max entry above len(z)": (
+        "enumerate lrglr --y 3,1,1 --w 3,2/1 --z 5,3,1 --max-entry 5", None, 0,
+        "ddb5d5f704796b3e6499db4e3ab68480a461c296f09c70186f8a926256e690b9",
+    ),
     "enumerate pictures, seed and @file": (
         "enumerate pictures --domain 3,3 --codomain 4,3,2/2,1 --order seed:1 --order2 @{order}",
         None, 0,

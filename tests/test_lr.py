@@ -18,6 +18,7 @@ from lrpictures.lr import (
 )
 from lrpictures.picture import Picture, omega
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
+from lrpictures.sweeps import resolve_order, skew_w_triples, straight_triples
 from lrpictures.tableau import Tableau, from_rows
 
 
@@ -240,3 +241,54 @@ def test_coefficient_symmetry(y, w):
         a = lr_coefficient(y, w, z, 4, 4)
         b = lr_coefficient(w, y, z, 4, 4)
         assert a.c == b.c == a.n_super == b.n_super
+
+
+ORACLE_ORDERS = ("ME", "FE", "seed:5")
+
+
+def test_both_families_match_their_oracles_on_every_small_triple():
+    # every straight triple and every skew w inside a 3x3 box, |z| <= 5, under
+    # three orders; the library lists members in the oracle's (row-major
+    # lexicographic) order
+    triples = straight_triples(5) + [t for t in skew_w_triples(3, 3, 5, 5) if t[1].inner]
+    for y, w, z in triples:
+        sw = w if isinstance(w, SkewShape) else SkewShape(w)
+        zy = SkewShape(z, y)
+        for spec in ORACLE_ORDERS:
+            order = resolve_order(spec, sw)
+            ours = [filling_of(t) for t in glr_lr_tableaux(sw, y, z, order=order)]
+            assert ours == glr_lr_oracle(sw, y, z, order, len(z)), (y, w, z, spec)
+            if not sw.inner:
+                order = resolve_order(spec, zy)
+                ours = [filling_of(q) for q in glmn_lr_tableaux(y, sw.outer, z, order=order)]
+                assert ours == glmn_lr_oracle(y, sw.outer, z, order), (y, w, z, spec)
+
+
+def test_large_hook_triple():
+    # |z| = 23: the filling universes hold about a million fillings, the
+    # families five members each
+    y, w, z = (2, 1, 1, 1, 1, 1, 1), (5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1, 1, 1)
+    got = lr_coefficient(y, w, z, 3, 3, verify=True)
+    assert got.c == got.n_super == 5
+    members = glmn_lr_tableaux(y, w, z)
+    assert all(is_glmn_lr_tableau(q, y, w, z) for q in members)
+    assert {companion_tableau(q) for q in members} == set(glr_lr_tableaux(SkewShape(w), y, z))
+
+
+def test_one_row_of_2000_cells():
+    # deeper than Python's default recursion limit of 1000
+    y, w, z = (1,), (2000,), (2000, 1)
+    (t,) = glr_lr_tableaux(SkewShape(w), y, z)
+    assert t.rows == ((1,) * 1999 + (2,),)
+    (q,) = glmn_lr_tableaux(y, w, z)
+    assert q.rows == ((1,) * 1999, (1,))
+    got = lr_coefficient(y, w, z, 2, 0, verify=True)
+    assert got.c == got.n_super == 1
+
+
+def test_glmn_membership_on_shapes_that_do_not_nest():
+    # y is not inside z, so no tableau is a member; the classical predicate
+    # already answers False here
+    t = from_rows([[1]])
+    assert not is_glmn_lr_tableau(t, (3,), (1,), (2,))
+    assert not is_glr_lr_tableau(t, (3,), (2,))

@@ -134,6 +134,28 @@ def test_enumerate_matches_oracle(x, y, spec_a, spec_ap):
     assert ours == theirs
 
 
+def test_enumerate_matches_oracle_on_every_small_pair():
+    # every pair of equal-size skew shapes inside a 3x3 box with up to five
+    # cells, under two order pairs; both sides list the maps in the order of
+    # their image sequences over the row-major domain cells
+    shapes = {}
+    for outer in partitions_up_to(9, 3, 3):
+        for inner in subdiagrams(outer):
+            s = SkewShape(outer, inner)
+            if 0 < s.size <= 5:
+                shapes.setdefault(s.cells(), s)
+    for x in shapes.values():
+        for y in shapes.values():
+            if x.size != y.size:
+                continue
+            for a, a_prime in (
+                (middle_eastern(y), far_eastern(x)),
+                (random_admissible_order(y, 1), random_admissible_order(x, 2)),
+            ):
+                ours = [p.forward for p in enumerate_pictures(x, y, a, a_prime)]
+                assert ours == pictures_oracle(x, y, a, a_prime), (x, y)
+
+
 def test_pictures_come_sorted_by_image_sequence():
     # every pair of 3-cell skew shapes inside size 5, under four order pairs
     shapes = [

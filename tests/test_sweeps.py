@@ -3,6 +3,7 @@ import pytest
 from lrpictures import sweeps
 from lrpictures.diagram import SkewShape
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
+from lrpictures.tableau import Tableau
 
 
 def test_resolve_order():
@@ -96,3 +97,18 @@ def test_run_sweep_skew_w_parallel_matches_serial():
 def test_run_sweep_rejects_empty_specs():
     with pytest.raises(ValueError):
         sweeps.run_sweep([((), (), ())], specs=())
+
+
+def test_identity_check_fails_on_a_non_member(monkeypatch):
+    # the two-family sets are checked member by member against the content
+    # and lattice definition, so a set that holds a non-member fails
+    y, w, z = (2, 1), (2, 1), (3, 2, 1)
+    assert sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)["identity_ok"]
+    outsider = Tableau(SkewShape(z, y), ((2,), (1,), (1,)))  # reading 2, 1, 1
+    real = sweeps.glmn_lr_tableaux
+    monkeypatch.setattr(
+        sweeps, "glmn_lr_tableaux", lambda *args, **kw: real(*args, **kw) + (outsider,)
+    )
+    rec = sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)
+    assert not rec["identity_ok"]
+    assert not sweeps.record_ok(rec)
