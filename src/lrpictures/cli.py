@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
                 if args.what == "roundtrip"
                 else ("ME", "FE", "seed:0", "seed:1", "seed:2", "seed:3", "seed:4")
             )
-            specs = tuple(args.orders.split(",")) if args.orders else default
+            specs = tuple(args.orders.split(",")) if args.orders is not None else default
             records = sweeps.run_sweep(
                 sweeps.straight_triples(args.max_size),
                 specs,
@@ -354,3 +354,7 @@ def main() -> None:
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

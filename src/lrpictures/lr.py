@@ -26,7 +26,7 @@ from .reading import (
     middle_eastern,
     reading,
 )
-from .tableau import Tableau, _tableau_from_entries, content, is_semistandard, p_index
+from .tableau import Tableau, _p_indices, _tableau_from_entries, content, is_semistandard
 
 
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
@@ -176,9 +176,9 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
         raise ValueError("reading word does not grow the base into a partition")
     codomain = SkewShape(outer, base)
     forward = {}
-    for cell, e in t.items():
+    for (cell, e), k in zip(t.items(), _p_indices(t, t.cells())):
         offset = base[e - 1] if e <= len(base) else 0
-        forward[cell] = (e, offset + p_index(t, cell))
+        forward[cell] = (e, offset + k)
     p = Picture(t.shape, codomain, forward)
     if verify:
         for make in (middle_eastern, far_eastern):
@@ -196,8 +196,8 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     """
     w = content(q)
     grid = {}
-    for cell, e in q.items():
-        target = (e, p_index(q, cell))
+    for (cell, e), k in zip(q.items(), _p_indices(q, q.cells())):
+        target = (e, k)
         if target in grid:
             raise ValueError(f"two cells of the input land on {target}")
         grid[target] = cell[0]

@@ -8,6 +8,8 @@ order-standard into the second order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .diagram import Cell, SkewShape
 from .reading import AdmissibleOrder, is_admissible
 
@@ -75,13 +77,39 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
     return is_pa_standard(p.forward, a) and is_pa_standard(p.backward, a_prime)
 
 
-def _bijections(dom_cells, cod_cells, rank) -> list[tuple[int, ...]]:
-    """All bijections from a cell list onto the cells of a skew shape that
-    respect both orders, found by a depth-first loop.
+@lru_cache(maxsize=1 << 12)
+def _domain_tables(a_prime: AdmissibleOrder):
+    """For each position i of ``a_prime``, the earlier positions whose cell
+    lies componentwise below (``under``) and above (``over``) the one at i."""
+    cells = a_prime.cells
+    under = tuple(tuple(j for j in range(i) if _leq_p(cells[j], u)) for i, u in enumerate(cells))
+    over = tuple(tuple(j for j in range(i) if _leq_p(u, cells[j])) for i, u in enumerate(cells))
+    return under, over
 
-    Position i of an assignment is ``dom_cells[i]``; its image is an index into
-    ``cod_cells``, whose ranks in the forward-side order are ``rank``.  A
-    candidate image c at position i survives when:
+
+@lru_cache(maxsize=1 << 12)
+def _codomain_tables(a: AdmissibleOrder):
+    """Over ``a``'s cells in row-major order: ranks in ``a``, bitsets ``preds`` of
+    the left and upper neighbours, indices ``succs`` of the right and lower ones,
+    bitsets ``rank_lt[r]`` of the cells ranked below r, and of the cells with neither."""
+    cells = a._row_major
+    index = {c: k for k, c in enumerate(cells)}
+    rank = tuple(a._rank[c] for c in cells)
+    preds = tuple(sum(1 << index[v] for v in ((i, j - 1), (i - 1, j)) if v in index) for i, j in cells)
+    succs = tuple(tuple(index[v] for v in ((i, j + 1), (i + 1, j)) if v in index) for i, j in cells)
+    rank_lt = [0]
+    for c in a.cells:
+        rank_lt.append(rank_lt[-1] | 1 << index[c])
+    return rank, preds, succs, tuple(rank_lt), sum(1 << c for c, p in enumerate(preds) if not p)
+
+
+def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:
+    """All bijections from ``a_prime``'s cells onto ``a``'s cells, which form a
+    skew shape, that respect both orders, found by a depth-first loop.
+
+    Position i of an assignment is ``a_prime.cells[i]``; its image is an index
+    c into ``a``'s cells in row-major order.  The loop reads tables built once
+    per order (``_domain_tables``, ``_codomain_tables``).  c survives when:
 
     * componentwise-comparable domain cells map to order-compatible ranks,
       which confines rank[c] to a window set by the earlier images, and
@@ -90,18 +118,11 @@ def _bijections(dom_cells, cod_cells, rank) -> list[tuple[int, ...]]:
       down-set, so in a skew shape, which is convex, c qualifies once its left
       and upper neighbours are images; an int bitset tracks such cells.
     """
-    n = len(cod_cells)
+    n = len(a)
     if n == 0:
         return [()]
-    index = {c: k for k, c in enumerate(cod_cells)}
-    # preds[c]: bitset of the left and upper neighbours of c; succs[c]: the others
-    preds = [sum(1 << index[v] for v in ((i, j - 1), (i - 1, j)) if v in index) for i, j in cod_cells]
-    succs = [[index[v] for v in ((i, j + 1), (i + 1, j)) if v in index] for i, j in cod_cells]
-    # rank_lt[r]: bitset of the codomain cells ranked below r
-    rank_lt = [sum(1 << c for c, r in enumerate(rank) if r < s) for s in range(n + 1)]
-    # earlier positions whose domain cell lies below / above the one at i
-    under = [[j for j in range(i) if _leq_p(dom_cells[j], dom_cells[i])] for i in range(n)]
-    over = [[j for j in range(i) if _leq_p(dom_cells[i], dom_cells[j])] for i in range(n)]
+    under, over = _domain_tables(a_prime)
+    rank, preds, succs, rank_lt, roots = _codomain_tables(a)
     perm = [0] * n
     ranks = [0] * n  # rank[perm[j]]
     at = ranks.__getitem__
@@ -109,7 +130,7 @@ def _bijections(dom_cells, cod_cells, rank) -> list[tuple[int, ...]]:
     free = [0] * n
     placed = [0] * n
     ready = [0] * n
-    ready[0] = free[0] = sum(1 << c for c in range(n) if not preds[c])
+    ready[0] = free[0] = roots
     out = []
     i = 0
     while i >= 0:
@@ -149,7 +170,8 @@ def enumerate_pictures(
     Images are assigned to domain cells along ``a_prime``, pruning as soon as
     either the partial forward map or the partial inverse violates
     order-standardness; both conditions are pairwise and monotone, so no
-    completion of a pruned branch survives.
+    completion of a pruned branch survives.  The search's tables are cached
+    per order, so an order that recurs, as a sweep's orders do, is set up once.
     """
     if not is_admissible(a, y):
         raise ValueError("a is not an admissible order on the codomain")
@@ -158,9 +180,9 @@ def enumerate_pictures(
     if x.size != y.size:
         return ()
     dom_cells = a_prime.cells
-    cod_cells = y.cells()
-    perms = _bijections(dom_cells, cod_cells, [a.rank(c) for c in cod_cells])
-    position = [dom_cells.index(c) for c in x.cells()]
+    cod_cells = y.cells()  # a's cells in row-major order, as just checked
+    perms = _bijections(a, a_prime)
+    position = [a_prime._rank[c] for c in x.cells()]
     perms.sort(key=lambda perm: [perm[i] for i in position])
     return tuple(
         Picture(x, y, {dom_cells[i]: cod_cells[c] for i, c in enumerate(perm)}) for perm in perms

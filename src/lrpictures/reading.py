@@ -28,10 +28,13 @@ class AdmissibleOrder:
         cells = tuple((int(i), int(j)) for i, j in cells)
         if len(set(cells)) != len(cells):
             raise ValueError("order repeats a cell")
-        for a, u in enumerate(cells):
-            for v in cells[a + 1 :]:
-                if _must_precede(v, u):
-                    raise ValueError(f"order is not admissible: {v} must come before {u}")
+        # (i, j) is out of order when a later cell lies weakly northeast of it
+        rightmost: dict[int, int] = {}  # row -> largest column among the later cells
+        for i, j in reversed(cells):
+            for row, col in rightmost.items():
+                if row <= i and col >= j:
+                    raise ValueError(f"order is not admissible: {(row, col)} must come before {(i, j)}")
+            rightmost[i] = j  # the later cells of row i all lie left of column j
         self.cells = cells
         self._rank = {c: k for k, c in enumerate(cells)}
         self._row_major = tuple(sorted(cells))

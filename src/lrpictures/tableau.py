@@ -160,17 +160,24 @@ def p_index(t: Tableau, cell: Cell) -> int:
     semistandardness of either flavor guarantees; repeats in a column are
     rejected loudly.
     """
-    i, j = cell
-    e = t.entry(i, j)
-    count = 0
-    for (a, b), v in t.items():
-        if v != e:
-            continue
-        if b == j and a != i:
-            raise ValueError(f"entry {e} repeats in column {j}; the column index is ambiguous")
-        if b >= j:
-            count += 1
-    return count
+    return _p_indices(t, (cell,))[0]
+
+
+def _p_indices(t: Tableau, cells) -> list[int]:
+    """The p-indices of ``cells``, from one right-to-left pass over the columns of ``t``."""
+    found, repeats = {}, set()
+    seen: dict[int, tuple] = {}  # entry -> (its cells so far, the column it was last in)
+    for (i, j), e in sorted(t.items(), key=lambda item: -item[0][1]):
+        k, last = seen.get(e, (0, 0))
+        if last == j:
+            repeats.add((e, j))
+        seen[e] = (k + 1, j)
+        found[i, j] = (e, k + 1)
+    for cell in cells:
+        e, _ = found[cell]
+        if (e, cell[1]) in repeats:
+            raise ValueError(f"entry {e} repeats in column {cell[1]}; the column index is ambiguous")
+    return [found[cell][1] for cell in cells]
 
 
 def _iter_fillings(shape: SkewShape, m: int, letters: int):

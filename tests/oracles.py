@@ -62,6 +62,23 @@ def glmn_oracle(shape, m, n):
     return out
 
 
+def admissible_oracle(cells):
+    """No cell comes after a different cell weakly northeast of it (row at
+    most, column at least), checked over every pair."""
+    cells = list(cells)
+    for a, u in enumerate(cells):
+        for v in cells[a + 1 :]:
+            if v != u and v[0] <= u[0] and v[1] >= u[1]:
+                return False
+    return True
+
+
+def p_index_oracle(filling, cell):
+    """Cells holding ``cell``'s entry in its column or further right."""
+    e = filling[cell]
+    return sum(1 for (_, b), v in filling.items() if v == e and b >= cell[1])
+
+
 def standard_oracle(mapping, rank):
     """Componentwise-comparable keys must map to compatibly ranked values."""
     for u, fu in mapping.items():

@@ -285,6 +285,32 @@ def test_vacuous_sweep_is_exit_2(capsys, what):
     assert "nothing to check" in err
 
 
+def test_empty_orders_list_is_exit_2(capsys):
+    # like --orders ",": an empty spec is refused, not replaced by the defaults
+    code, out, err = run(capsys, "verify", "roundtrip", "--max-size", "2", "--orders", "")
+    assert code == 2
+    assert out == ""
+    assert "unknown order spec ''" in err
+
+
+@pytest.mark.parametrize("module", ["lrpictures", "lrpictures.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+        )
+
+    proc = run_module("coeff", "--y", "1", "--w", "1", "--z", "2", "--m", "1", "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert lines(proc.stdout) == [{"c": 1, "n_super": 1, "equal": True}]
+    proc = run_module("verify", "roundtrip", "--max-size", "-1")
+    assert proc.returncode == 2
+    assert "nothing to check" in proc.stderr
+
+
 def test_negative_max_entry_is_exit_2(capsys):
     code, out, err = run(
         capsys, "enumerate", "lrglr", "--y", "1", "--w", "1", "--z", "2", "--max-entry", "-3"

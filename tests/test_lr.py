@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import filling_of, glmn_lr_oracle, glr_lr_oracle
+from oracles import filling_of, glmn_lr_oracle, glr_lr_oracle, p_index_oracle
 from lrpictures.diagram import SkewShape, partition_contains, partitions_of
 from lrpictures.lr import (
     companion_tableau,
@@ -19,7 +19,7 @@ from lrpictures.lr import (
 from lrpictures.picture import Picture, omega
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.sweeps import resolve_order, skew_w_triples, straight_triples
-from lrpictures.tableau import Tableau, from_rows
+from lrpictures.tableau import Tableau, _p_indices, from_rows, p_index
 
 
 # One triple worked end to end: y = (5,2,1), w = (3,2,2,1), z = (6,4,2,2,2).
@@ -202,6 +202,24 @@ def test_tableau_to_picture_rejects_bad_reading():
         tableau_to_picture(t, ())
     with pytest.raises(ValueError):
         tableau_to_picture(from_rows([[-1]]), ())
+
+
+def test_maps_reject_column_repeats():
+    t = from_rows([[1, 1], [1]])
+    for convert in (tableau_to_picture, companion_tableau):
+        with pytest.raises(ValueError, match="repeats in column 1"):
+            convert(t)
+
+
+def test_p_indices_match_the_definition_on_both_families():
+    # every cell of every member of both LR families with |z| <= 6
+    for y, w, z in straight_triples(6):
+        members = glr_lr_tableaux(SkewShape(w), y, z) + glmn_lr_tableaux(y, w, z)
+        for t in members:
+            filling = filling_of(t)
+            want = {cell: p_index_oracle(filling, cell) for cell in filling}
+            assert dict(zip(t.cells(), _p_indices(t, t.cells()))) == want, t
+            assert {cell: p_index(t, cell) for cell in filling} == want, t
 
 
 def test_companion_rejects_non_lattice_input():

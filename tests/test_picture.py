@@ -136,14 +136,21 @@ def test_enumerate_matches_oracle(x, y, spec_a, spec_ap):
 
 def test_enumerate_matches_oracle_on_every_small_pair():
     # every pair of equal-size skew shapes inside a 3x3 box with up to five
-    # cells, under two order pairs; both sides list the maps in the order of
-    # their image sequences over the row-major domain cells
+    # cells, under two mixed order pairs and, as a sweep does, under ME, FE and
+    # two seeds with each order object serving first as the codomain order and
+    # then as the domain order of the swapped search; orders recur from pair to
+    # pair, so most searches read tables cached by an earlier one.  Both sides
+    # list the maps in the order of their image sequences over the row-major
+    # domain cells
     shapes = {}
     for outer in partitions_up_to(9, 3, 3):
         for inner in subdiagrams(outer):
             s = SkewShape(outer, inner)
             if 0 < s.size <= 5:
                 shapes.setdefault(s.cells(), s)
+    makes = (middle_eastern, far_eastern) + tuple(
+        lambda s, k=k: random_admissible_order(s, k) for k in (3, 4)
+    )
     for x in shapes.values():
         for y in shapes.values():
             if x.size != y.size:
@@ -154,6 +161,12 @@ def test_enumerate_matches_oracle_on_every_small_pair():
             ):
                 ours = [p.forward for p in enumerate_pictures(x, y, a, a_prime)]
                 assert ours == pictures_oracle(x, y, a, a_prime), (x, y)
+            for make in makes:
+                a, a_prime = make(y), make(x)
+                ours = [p.forward for p in enumerate_pictures(x, y, a, a_prime)]
+                assert ours == pictures_oracle(x, y, a, a_prime), (x, y)
+                ours = [p.forward for p in enumerate_pictures(y, x, a_prime, a)]
+                assert ours == pictures_oracle(y, x, a_prime, a), (y, x)
 
 
 def test_pictures_come_sorted_by_image_sequence():

@@ -1,11 +1,14 @@
+import re
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import lattice_oracle
+from oracles import admissible_oracle, lattice_oracle
 from lrpictures import serialize
-from lrpictures.diagram import SkewShape
+from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.reading import (
     AdmissibleOrder,
     far_eastern,
@@ -54,6 +57,26 @@ def test_is_admissible():
     # wrong cell set
     assert not is_admissible(middle_eastern(s), SkewShape((2, 1)))
     assert not is_admissible(middle_eastern(SkewShape((2, 1))), s)
+
+
+def test_order_accepts_exactly_the_admissible_sequences():
+    # every permutation of every skew shape with up to six cells in a 3x3 box;
+    # a refusal names a pair in the wrong order
+    shapes = {}
+    for outer in partitions_up_to(9, 3, 3):
+        for inner in subdiagrams(outer):
+            s = SkewShape(outer, inner)
+            if 0 < s.size <= 6:
+                shapes.setdefault(s.cells(), s)
+    for cells in shapes:
+        for seq in permutations(cells):
+            if admissible_oracle(seq):
+                assert AdmissibleOrder(seq).cells == seq
+                continue
+            with pytest.raises(ValueError, match="admissible") as refused:
+                AdmissibleOrder(seq)
+            v, u = (tuple(map(int, m)) for m in re.findall(r"\((\d+), (\d+)\)", str(refused.value)))
+            assert seq.index(u) < seq.index(v) and v[0] <= u[0] and v[1] >= u[1]
 
 
 @given(sts.skew_shapes(max_size=6), st.integers(0, 10), st.data())

@@ -115,6 +115,8 @@ def test_p_index_rejects_column_repeats():
     t = Tableau(SkewShape((1, 1)), ((1,), (1,)))
     with pytest.raises(ValueError):
         p_index(t, (1, 1))
+    # a repeat in another column leaves a cell's index defined
+    assert p_index(from_rows([[1, 1], [1]]), (1, 2)) == 1
     # equal entries in distinct columns stay unambiguous
     t2 = Tableau(SkewShape((2, 1), (1,)), ((1,), (1,)))
     assert p_index(t2, (2, 1)) == 2
