@@ -20,6 +20,7 @@ from .diagram import SkewShape, _add_boxes, as_partition, is_hook, partition_con
 from .picture import Picture, is_admissible_picture, omega
 from .reading import (
     AdmissibleOrder,
+    _neighbours,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
@@ -104,12 +105,9 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
     """
     if shape.size + sum(y) != sum(z) or not partition_contains(z, y):
         return ()
-    cells = order.cells
-    n = len(cells)
-    rank = order._rank
-    right = [rank.get((i, j + 1), -1) for i, j in cells]
-    up = [rank.get((i - 1, j), -1) for i, j in cells]
-    row_major = [rank[c] for c in shape.cells()]
+    n = len(order)
+    up, right = _neighbours(order)
+    row_major = [order._rank[c] for c in shape.cells()]
     rows = list(y) + [0] * (len(z) - len(y))
     e = [0] * n
     found = []
@@ -137,9 +135,9 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
     return tuple(_tableau_from_entries(shape, entries) for entries in found)
 
 
-# one cache per family, each cleared by name in perfbench/record_corpus.py
-_glr_lr = lru_cache(maxsize=1 << 16)(_lr_fillings)
-_glmn_lr = lru_cache(maxsize=1 << 16)(_lr_fillings)
+# One cache for both families: a key they share names the same search. Both
+# names stay, as perfbench/record_corpus.py clears the caches by name.
+_glr_lr = _glmn_lr = lru_cache(maxsize=1 << 17)(_lr_fillings)
 
 
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .diagram import Cell, SkewShape
-from .reading import AdmissibleOrder, is_admissible
+from .reading import AdmissibleOrder, _neighbours, is_admissible
 
 
 class Picture:
@@ -55,17 +55,18 @@ def omega(p: Picture) -> Picture:
     return Picture(p.codomain, p.domain, dict(p.backward))
 
 
-def _leq_p(u: Cell, v: Cell) -> bool:
-    return u[0] <= v[0] and u[1] <= v[1]
-
-
 def is_pa_standard(mapping, target: AdmissibleOrder) -> bool:
     """True when every componentwise-comparable pair of keys maps to images
-    ranked compatibly in ``target``."""
-    items = list(dict(mapping).items())
-    for u, fu in items:
-        for v, fv in items:
-            if u != v and _leq_p(u, v) and target.rank(fu) > target.rank(fv):
+    ranked compatibly in ``target``. The keys must form a skew shape: it is
+    convex, so comparable keys are joined by right and down steps through
+    keys, and as rank order is transitive, comparing each key with its right
+    and lower neighbours suffices."""
+    mapping = dict(mapping)
+    rank = target._rank
+    for (i, j), image in mapping.items():
+        r = rank[image]
+        for v in ((i, j + 1), (i + 1, j)):
+            if v in mapping and r > rank[mapping[v]]:
                 return False
     return True
 
@@ -75,16 +76,6 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
     if not (is_admissible(a, p.codomain) and is_admissible(a_prime, p.domain)):
         raise ValueError("orders do not match the picture's shapes")
     return is_pa_standard(p.forward, a) and is_pa_standard(p.backward, a_prime)
-
-
-@lru_cache(maxsize=1 << 12)
-def _domain_tables(a_prime: AdmissibleOrder):
-    """For each position i of ``a_prime``, the earlier positions whose cell
-    lies componentwise below (``under``) and above (``over``) the one at i."""
-    cells = a_prime.cells
-    under = tuple(tuple(j for j in range(i) if _leq_p(cells[j], u)) for i, u in enumerate(cells))
-    over = tuple(tuple(j for j in range(i) if _leq_p(u, cells[j])) for i, u in enumerate(cells))
-    return under, over
 
 
 @lru_cache(maxsize=1 << 12)
@@ -104,28 +95,29 @@ def _codomain_tables(a: AdmissibleOrder):
 
 
 def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:
-    """All bijections from ``a_prime``'s cells onto ``a``'s cells, which form a
-    skew shape, that respect both orders, found by a depth-first loop.
+    """All bijections from ``a_prime``'s cells onto ``a``'s cells, both skew
+    shapes, that respect both orders, found by a depth-first loop.
 
-    Position i of an assignment is ``a_prime.cells[i]``; its image is an index
-    c into ``a``'s cells in row-major order.  The loop reads tables built once
-    per order (``_domain_tables``, ``_codomain_tables``).  c survives when:
+    Position i is the cell u = ``a_prime.cells[i]``; its image is an index c
+    into ``a``'s cells in row-major order.  The loop reads tables built once
+    per order (``_neighbours``, ``_codomain_tables``).  c survives when:
 
-    * componentwise-comparable domain cells map to order-compatible ranks,
-      which confines rank[c] to a window set by the earlier images, and
-    * every codomain cell componentwise below c is already an image (the
-      partial inverse must respect assignment order).  The images form a
-      down-set, so in a skew shape, which is convex, c qualifies once its left
-      and upper neighbours are images; an int bitset tracks such cells.
+    * componentwise-comparable domain cells map to order-compatible ranks.
+      The earlier cells already do, so the images of u's upper and right
+      neighbours, which come first, bound rank[c]: an earlier v <= u lies in
+      a higher row, so v <= up(u), and an earlier v >= u in a column further
+      right, so v >= right(u), both neighbours being cells by convexity; and
+    * every codomain cell componentwise below c is already an image, so the
+      partial inverse respects assignment order; by convexity, that holds once
+      c's left and upper neighbours are images, which an int bitset tracks.
     """
     n = len(a)
     if n == 0:
         return [()]
-    under, over = _domain_tables(a_prime)
+    up, right = _neighbours(a_prime)
     rank, preds, succs, rank_lt, roots = _codomain_tables(a)
     perm = [0] * n
     ranks = [0] * n  # rank[perm[j]]
-    at = ranks.__getitem__
     # at position i: candidates not tried yet, images so far, cells that qualify
     free = [0] * n
     placed = [0] * n
@@ -154,8 +146,8 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
         i += 1
         placed[i] = now
         ready[i] = avail
-        lo = max(map(at, under[i]), default=-1)
-        hi = min(map(at, over[i]), default=n)
+        lo = ranks[up[i]] if up[i] >= 0 else -1
+        hi = ranks[right[i]] if right[i] >= 0 else n
         free[i] = rank_lt[hi] & ~rank_lt[lo + 1] & avail
     return out
 

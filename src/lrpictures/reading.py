@@ -58,11 +58,6 @@ class AdmissibleOrder:
         return f"AdmissibleOrder({list(self.cells)})"
 
 
-def _must_precede(u: Cell, v: Cell) -> bool:
-    # u weakly northeast of v forces u first
-    return u != v and u[0] <= v[0] and u[1] >= v[1]
-
-
 @lru_cache(maxsize=1 << 12)
 def middle_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Rows top to bottom, each row right to left."""
@@ -85,18 +80,33 @@ def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
 def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
     """A random admissible order, drawn by repeatedly picking uniformly among
     the cells that no remaining cell is forced to precede. Deterministic in
-    ``seed``."""
+    ``seed``. The remaining cells of a row form a left segment; its last cell
+    qualifies when it lies right of every remaining cell in the rows above."""
     rng = random.Random(seed)
-    remaining = set(shape.cells())
+    lefts = [shape.inner_width(i) for i in range(1, len(shape.outer) + 1)]
+    ends = list(shape.outer)  # per row, the rightmost remaining column
     out = []
-    while remaining:
-        minimal = sorted(
-            u for u in remaining if not any(_must_precede(v, u) for v in remaining)
-        )
+    for _ in range(shape.size):
+        minimal = []
+        reach = 0  # the rightmost remaining column in the rows above
+        for i, (left, end) in enumerate(zip(lefts, ends), start=1):
+            if end > left and end > reach:
+                minimal.append((i, end))
+                reach = end
         pick = rng.choice(minimal)
-        remaining.remove(pick)
+        ends[pick[0] - 1] -= 1
         out.append(pick)
     return AdmissibleOrder(out)
+
+
+@lru_cache(maxsize=1 << 12)
+def _neighbours(order: AdmissibleOrder) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per position of ``order``, the positions of its cell's upper and right
+    neighbours (-1 if absent), which come first, lying weakly northeast."""
+    rank = order._rank
+    up = tuple(rank.get((i - 1, j), -1) for i, j in order.cells)
+    right = tuple(rank.get((i, j + 1), -1) for i, j in order.cells)
+    return up, right
 
 
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:

@@ -61,20 +61,20 @@ def skew_w_triples(box_rows: int, box_cols: int, max_w: int, max_z: int) -> list
 
 
 def _roundtrip_pair(members, pictures, base) -> bool:
-    """Both composites are identities between a tableau family and a picture set."""
+    """Both composites are identities between a tableau family and a picture set.
+
+    Each member is mapped forward once and must map back: with that left
+    inverse, equal sizes and the images equal to the picture set, the forward
+    map is a bijection onto the pictures and the back map is its inverse."""
     if len(members) != len(pictures):
         return False
-    member_set = set(members)
-    picture_set = set(pictures)
+    images = set()
     for t in members:
         p = tableau_to_picture(t, base)
-        if p not in picture_set or picture_to_tableau(p) != t:
+        if picture_to_tableau(p) != t:
             return False
-    for p in pictures:
-        t = picture_to_tableau(p)
-        if t not in member_set or tableau_to_picture(t, base) != p:
-            return False
-    return True
+        images.add(p)
+    return images == set(pictures)
 
 
 def check_triple(

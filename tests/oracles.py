@@ -6,6 +6,7 @@ filter-the-universe searches, sharing no logic with the package enumerators
 evidence, not tautology.
 """
 
+import random
 from collections import Counter
 from itertools import permutations, product
 
@@ -71,6 +72,24 @@ def admissible_oracle(cells):
             if v != u and v[0] <= u[0] and v[1] >= u[1]:
                 return False
     return True
+
+
+def random_order_oracle(shape, seed):
+    """A random admissible order as a cell tuple, drawn by testing every
+    remaining pair for a cell that must come first and picking uniformly
+    among the cells nothing precedes. Deterministic in ``seed``."""
+    rng = random.Random(seed)
+    remaining = set(shape.cells())
+    out = []
+    while remaining:
+        minimal = sorted(
+            u for u in remaining
+            if not any(v != u and v[0] <= u[0] and v[1] >= u[1] for v in remaining)
+        )
+        pick = rng.choice(minimal)
+        remaining.remove(pick)
+        out.append(pick)
+    return tuple(out)
 
 
 def p_index_oracle(filling, cell):

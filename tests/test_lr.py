@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from lrpictures.lr import (
     picture_to_tableau,
     tableau_to_picture,
 )
-from lrpictures.picture import Picture, omega
+from lrpictures.picture import Picture, enumerate_pictures, omega
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.sweeps import resolve_order, skew_w_triples, straight_triples
 from lrpictures.tableau import Tableau, _p_indices, from_rows, p_index
@@ -302,6 +304,19 @@ def test_one_row_of_2000_cells():
     assert q.rows == ((1,) * 1999, (1,))
     got = lr_coefficient(y, w, z, 2, 0, verify=True)
     assert got.c == got.n_super == 1
+    # the checks of both maps compare neighbouring cells only, so they stay
+    # linear, and the picture search keeps no table of cell pairs per order
+    p = tableau_to_picture(t, y, verify=True)
+    assert picture_to_tableau(p, verify=True) == t
+    x, zy = SkewShape(w), SkewShape(z, y)
+    tracemalloc.start()
+    try:
+        pictures = enumerate_pictures(x, zy, middle_eastern(zy), middle_eastern(x))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pictures == (p,)
+    assert held < 10 * 2**20
 
 
 def test_glmn_membership_on_shapes_that_do_not_nest():

@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import pictures_oracle
+from oracles import pictures_oracle, standard_oracle
 from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.picture import (
     Picture,
@@ -65,6 +67,34 @@ def test_is_pa_standard_direct():
     order = middle_eastern(SkewShape((2,)))
     assert not is_pa_standard({(1, 1): (1, 1), (1, 2): (1, 2)}, order)
     assert is_pa_standard({(1, 1): (1, 2), (1, 2): (1, 1)}, order)
+
+
+def _rank_of(order):
+    return {c: k for k, c in enumerate(order.cells)}
+
+
+def test_is_pa_standard_matches_the_pairwise_oracle():
+    # every bijection between equal-size skew shapes of up to five cells in a
+    # 3x3 box, forward into the codomain order and backward into the domain
+    # order, under ME, FE and one seed
+    shapes = {}
+    for outer in partitions_up_to(9, 3, 3):
+        for inner in subdiagrams(outer):
+            s = SkewShape(outer, inner)
+            if 0 < s.size <= 5:
+                shapes.setdefault(s.cells(), s)
+    makes = (middle_eastern, far_eastern, lambda s: random_admissible_order(s, 5))
+    for x in shapes.values():
+        for y in shapes.values():
+            if x.size != y.size:
+                continue
+            orders = [(make(y), make(x), _rank_of(make(y)), _rank_of(make(x))) for make in makes]
+            for images in permutations(y.cells()):
+                forward = dict(zip(x.cells(), images))
+                backward = dict(zip(images, x.cells()))
+                for a, a_prime, rank_a, rank_ap in orders:
+                    assert is_pa_standard(forward, a) == standard_oracle(forward, rank_a)
+                    assert is_pa_standard(backward, a_prime) == standard_oracle(backward, rank_ap)
 
 
 def test_omega_swaps_and_involutes():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import admissible_oracle, lattice_oracle
+from oracles import admissible_oracle, lattice_oracle, random_order_oracle
 from lrpictures import serialize
 from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.reading import (
@@ -106,6 +106,18 @@ def test_random_orders_admissible_and_deterministic(shape, seed):
     assert is_admissible(order, shape)
     random_admissible_order.cache_clear()  # draw again rather than read the memo
     assert order == random_admissible_order(shape, seed)
+
+
+def test_random_orders_match_the_pairwise_draw():
+    # every skew shape in a 4x4 box, empty rows included, seeds 0-5: the row
+    # scan offers rng.choice the same sorted list of minimal cells as the
+    # all-pairs test, so every draw, and so every order, is the same
+    for outer in partitions_up_to(16, 4, 4):
+        for inner in subdiagrams(outer):
+            s = SkewShape(outer, inner)
+            for seed in range(6):
+                ours = random_admissible_order(s, seed).cells
+                assert ours == random_order_oracle(s, seed), (s, seed)
 
 
 def test_random_orders_vary_with_seed():

@@ -112,3 +112,53 @@ def test_identity_check_fails_on_a_non_member(monkeypatch):
     rec = sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)
     assert not rec["identity_ok"]
     assert not sweeps.record_ok(rec)
+
+
+WORKED = ((2, 1), (2, 1), (3, 2, 1))  # c = 2, so two pictures per order pair
+
+
+def _roundtrip_fails(**kw):
+    rec = sweeps.check_triple(*WORKED, **kw)
+    return any(e["roundtrip_ok"] is False for e in rec["orders"]) and not sweeps.record_ok(rec)
+
+
+def test_roundtrip_catches_a_wrong_back_map(monkeypatch):
+    # one picture maps back to the other member; the forward images are
+    # still exactly the pictures, so only the back-map check sees it
+    assert not _roundtrip_fails()
+    real = sweeps.picture_to_tableau
+    first = {}
+
+    def wrong(p, *args, **kw):
+        t = real(p, *args, **kw)
+        first.setdefault(p.domain, t)
+        return first[p.domain]
+
+    monkeypatch.setattr(sweeps, "picture_to_tableau", wrong)
+    assert _roundtrip_fails(specs=("ME",))
+
+
+def test_roundtrip_catches_a_forward_map_that_merges_members(monkeypatch):
+    real = sweeps.tableau_to_picture
+    first = {}
+
+    def merged(t, *args, **kw):
+        p = real(t, *args, **kw)
+        first.setdefault(t.shape, p)
+        return first[t.shape]
+
+    monkeypatch.setattr(sweeps, "tableau_to_picture", merged)
+    assert _roundtrip_fails(specs=("ME",))
+
+
+def test_roundtrip_catches_a_repeated_picture(monkeypatch):
+    # the count stays right, but one picture stands in for another, so only
+    # the comparison of the images with the picture set sees it
+    real = sweeps.enumerate_pictures
+
+    def repeated(*args):
+        pics = real(*args)
+        return pics[:-1] + pics[:1]
+
+    monkeypatch.setattr(sweeps, "enumerate_pictures", repeated)
+    assert _roundtrip_fails(specs=("ME",))
