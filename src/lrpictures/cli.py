@@ -45,6 +45,14 @@ def _parse_partition(text: str):
         raise InputError(f"bad partition {text!r}: {e}") from None
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parse_shape(text: str) -> SkewShape:
     outer, _, inner = text.partition("/")
     try:
@@ -322,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--orders", help="comma list of ME | FE | seed:<n>")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--r", type=int, default=3)

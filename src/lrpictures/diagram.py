@@ -89,6 +89,13 @@ def _cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1 << 14)
+def _skew(outer: Partition, inner: Partition) -> SkewShape:
+    """``SkewShape(outer, inner)``, built once per pair, for callers that
+    build the same shape again and again, as the LR layer does for Z/Y."""
+    return SkewShape(outer, inner)
+
+
 def _grow(rows: list, word) -> int:
     """Append one box to row j of ``rows`` for each letter j of ``word``, in place.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import SkewShape, _add_boxes, as_partition, is_hook, partition_contains
+from .diagram import SkewShape, _add_boxes, _skew, as_partition, is_hook, partition_contains
 from .picture import Picture, is_admissible_picture, omega
 from .reading import (
     AdmissibleOrder,
@@ -71,7 +71,7 @@ def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None
     condition, content ``w``, and a lattice reading word."""
     y, w, z = as_partition(y), as_partition(w), as_partition(z)
     order = _checked_order(q.shape, order)
-    if not partition_contains(z, y) or q.shape != SkewShape(z, y):
+    if not partition_contains(z, y) or q.shape != _skew(z, y):
         return False
     if not is_semistandard(q) or content(q) != w:
         return False
@@ -88,7 +88,7 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
     y, w, z = as_partition(y), as_partition(w), as_partition(z)
     if not partition_contains(z, y):
         return ()
-    shape = SkewShape(z, y)
+    shape = _skew(z, y)
     order = _checked_order(shape, order)
     return _glmn_lr(shape, (), w, order, len(w))
 

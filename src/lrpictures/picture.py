@@ -17,7 +17,7 @@ from .reading import AdmissibleOrder, _neighbours, is_admissible
 class Picture:
     """A bijection between the cells of two skew shapes."""
 
-    __slots__ = ("domain", "codomain", "forward", "backward")
+    __slots__ = ("domain", "codomain", "forward", "backward", "_hash")
 
     def __init__(self, domain: SkewShape, codomain: SkewShape, forward):
         forward = {
@@ -32,18 +32,26 @@ class Picture:
         self.codomain = codomain
         self.forward = forward
         self.backward = backward
+        self._hash = None  # computed on first use: most pictures are never hashed
 
     def __call__(self, cell: Cell) -> Cell:
         return self.forward[cell]
 
-    def _key(self):
-        return (self.domain, self.codomain, tuple(sorted(self.forward.items())))
-
     def __eq__(self, other):
-        return isinstance(other, Picture) and self._key() == other._key()
+        return self is other or (
+            isinstance(other, Picture)
+            and self.domain == other.domain
+            and self.codomain == other.codomain
+            and self.forward == other.forward
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash((self.domain, self.codomain, frozenset(self.forward.items())))
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not copied: a stored hash never crosses processes
+        return Picture, (self.domain, self.codomain, self.forward)
 
     def __repr__(self):
         pairs = ", ".join(f"{u}->{v}" for u, v in sorted(self.forward.items()))

@@ -22,7 +22,7 @@ class AdmissibleOrder:
     """An admissible order on a finite cell set, stored as the explicit sequence;
     building one from a sequence that is not admissible raises ValueError."""
 
-    __slots__ = ("cells", "_rank", "_row_major")
+    __slots__ = ("cells", "_rank", "_row_major", "_hash")
 
     def __init__(self, cells):
         cells = tuple((int(i), int(j)) for i, j in cells)
@@ -38,6 +38,7 @@ class AdmissibleOrder:
         self.cells = cells
         self._rank = {c: k for k, c in enumerate(cells)}
         self._row_major = tuple(sorted(cells))
+        self._hash = hash(cells)  # orders key the search caches, so hash them once
 
     def rank(self, cell: Cell) -> int:
         return self._rank[cell]
@@ -49,10 +50,15 @@ class AdmissibleOrder:
         return iter(self.cells)
 
     def __eq__(self, other):
-        return isinstance(other, AdmissibleOrder) and self.cells == other.cells
+        return self is other or (
+            isinstance(other, AdmissibleOrder) and self._hash == other._hash and self.cells == other.cells
+        )
 
     def __hash__(self):
-        return hash(self.cells)
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not copied: a stored hash never crosses processes
+        return AdmissibleOrder, (self.cells,)
 
     def __repr__(self):
         return f"AdmissibleOrder({list(self.cells)})"

@@ -9,6 +9,7 @@ two-family LR tableau, in each order, has content w and a lattice reading.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .diagram import SkewShape, as_partition, partitions_of, partitions_up_to, subdiagrams
@@ -60,21 +61,25 @@ def skew_w_triples(box_rows: int, box_cols: int, max_w: int, max_z: int) -> list
     return out
 
 
-def _roundtrip_pair(members, pictures, base) -> bool:
+def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
     """Both composites are identities between a tableau family and a picture set.
 
-    Each member is mapped forward once and must map back: with that left
-    inverse, equal sizes and the images equal to the picture set, the forward
-    map is a bijection onto the pictures and the back map is its inverse."""
+    Each member is mapped forward and must map back: with that left inverse,
+    equal sizes and the images equal to the picture set, the forward map is a
+    bijection onto the pictures and the back map is its inverse. ``images``
+    keeps each member's image once mapped, or None when it did not map back.
+    Neither map reads an order, so one dict serves all the orders of a triple:
+    each member is mapped once per triple, every order still makes every
+    check, and a member that failed fails each order that holds it."""
     if len(members) != len(pictures):
         return False
-    images = set()
     for t in members:
-        p = tableau_to_picture(t, base)
-        if picture_to_tableau(p) != t:
+        if t not in images:
+            p = tableau_to_picture(t, base)
+            images[t] = p if picture_to_tableau(p) == t else None
+        if images[t] is None:
             return False
-        images.add(p)
-    return images == set(pictures)
+    return {images[t] for t in members} == set(pictures)
 
 
 def check_triple(
@@ -87,7 +92,12 @@ def check_triple(
     identity: bool = True,
     pictures: bool = True,
 ) -> dict:
-    """Run every per-triple verification; ``w`` may be a partition or a skew shape."""
+    """Run every per-triple verification; ``w`` may be a partition or a skew shape.
+
+    Families and pictures are built once per order, but each member is mapped
+    once per triple: neither map reads an order, so every order's round-trip
+    check (``_roundtrip_pair``) reads the same images, which is the same check
+    as mapping the member again."""
     y, z = as_partition(y), as_partition(z)
     w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
     straight = not w_shape.inner
@@ -111,17 +121,18 @@ def check_triple(
     )
 
     per_order = []
+    b_images, lr_images = {}, {}
     for k, spec in enumerate(specs):
         entry = {"order": spec, "pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
         if pictures:
             pics = enumerate_pictures(w_shape, zy, orders_zy[k], orders_w[k])
             entry["pictures"] = len(pics)
-            ok = _roundtrip_pair(b_sets[k], pics, y) if roundtrips else None
+            ok = _roundtrip_pair(b_sets[k], pics, y, b_images) if roundtrips else None
             if straight:
                 swapped = enumerate_pictures(zy, w_shape, orders_w[k], orders_zy[k])
                 entry["pictures_swapped"] = len(swapped)
                 if roundtrips:
-                    ok = ok and _roundtrip_pair(lr_sets[k], swapped, ())
+                    ok = ok and _roundtrip_pair(lr_sets[k], swapped, (), lr_images)
             entry["roundtrip_ok"] = ok
         per_order.append(entry)
 
@@ -137,6 +148,9 @@ def check_triple(
     }
 
 
+_CHUNK = 64  # tasks per message to a worker
+
+
 def _worker(task) -> dict:
     return check_triple(*task)
 
@@ -150,9 +164,14 @@ def run_sweep(
     pictures: bool = True,
     jobs: int = 1,
 ) -> list[dict]:
-    """check_triple over every triple, in a canonical deterministic order."""
+    """check_triple over every triple, in a canonical deterministic order.
+
+    ``jobs`` caps the worker processes; no more start than there are CPUs or
+    chunks of work, and with one the sweep runs in this process."""
     if not specs:
         raise ValueError("at least one order spec is required")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
     tasks = [
         (y, w if isinstance(w, SkewShape) else as_partition(w), z, *rest) for y, w, z in triples
@@ -164,10 +183,11 @@ def run_sweep(
         return (sum(z), z, y, flat)
 
     tasks.sort(key=_key)
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
+    if workers <= 1:
         return [_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_worker, tasks, chunksize=64))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_worker, tasks, chunksize=_CHUNK))
 
 
 def record_ok(rec: dict) -> bool:

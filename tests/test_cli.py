@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lrpictures
-from lrpictures import cli
+from lrpictures import cli, sweeps
 
 SRC = str(Path(lrpictures.__file__).resolve().parents[1])
 
@@ -162,7 +162,9 @@ def test_verify_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_parallel_matches_serial(capsys):
+def test_verify_parallel_matches_serial(capsys, monkeypatch):
+    # 101 triples are two chunks, so two workers start on any host
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     _, out1, _ = run(capsys, "verify", "coefficients", "--max-size", "4")
     _, out2, _ = run(capsys, "verify", "coefficients", "--max-size", "4", "--jobs", "2")
     assert out1 == out2
@@ -283,6 +285,16 @@ def test_vacuous_sweep_is_exit_2(capsys, what):
     assert code == 2
     assert out == ""
     assert "nothing to check" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_exit_2(capsys, jobs):
+    # a worker count below 1 is bad input, whatever the sweep
+    for what in ("roundtrip", "decomposition-glr"):
+        code, out, err = run(capsys, "verify", what, "--max-size", "2", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
 
 def test_empty_orders_list_is_exit_2(capsys):

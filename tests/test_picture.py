@@ -1,3 +1,4 @@
+import pickle
 from itertools import permutations
 
 import pytest
@@ -41,8 +42,19 @@ def test_picture_validation():
 
 def test_picture_call_and_equality():
     assert EXAMPLE((1, 1)) == (1, 4)
-    same = Picture(DOM, COD, dict(EXAMPLE.forward))
-    assert same == EXAMPLE and hash(same) == hash(EXAMPLE)
+    # the hash is stored on first use; an equal picture built another way, or
+    # one that crossed a process boundary, must compare and hash the same
+    hash(EXAMPLE)
+    for same in (
+        Picture(DOM, COD, dict(EXAMPLE.forward)),
+        omega(omega(EXAMPLE)),
+        pickle.loads(pickle.dumps(EXAMPLE)),
+    ):
+        assert same is not EXAMPLE
+        assert same == EXAMPLE and hash(same) == hash(EXAMPLE)
+    swapped = dict(EXAMPLE.forward)
+    swapped[(1, 1)], swapped[(1, 2)] = swapped[(1, 2)], swapped[(1, 1)]
+    assert Picture(DOM, COD, swapped) != EXAMPLE
 
 
 def test_example_picture_admissible_under_any_orders():

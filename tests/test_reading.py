@@ -1,3 +1,4 @@
+import pickle
 import re
 from itertools import permutations
 
@@ -24,6 +25,18 @@ from lrpictures.tableau import from_rows
 def test_order_rejects_repeats():
     with pytest.raises(ValueError):
         AdmissibleOrder([(1, 1), (1, 1)])
+
+
+def test_stored_hash_holds_across_pickling_and_a_second_route():
+    # the hash is stored at construction; an equal order that crossed a
+    # process boundary, or was built from its cell list, must hash the same
+    shape = SkewShape((4, 3, 1), (1,))
+    me = middle_eastern(shape)
+    for other in (pickle.loads(pickle.dumps(me)), AdmissibleOrder(list(me.cells))):
+        assert other is not me
+        assert other == me and hash(other) == hash(me)
+        assert is_admissible(other, shape)
+    assert far_eastern(shape) != me
 
 
 def test_canonical_orders_on_worked_shape():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from lrpictures import sweeps
@@ -76,8 +78,10 @@ def test_record_ok_spots_bad_counts():
     assert not sweeps.record_ok(broken)
 
 
-def test_run_sweep_deterministic_and_parallel():
-    triples = sweeps.straight_triples(3)
+def test_run_sweep_deterministic_and_parallel(monkeypatch):
+    # 101 triples are two chunks, so two workers start on any host
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    triples = sweeps.straight_triples(4)
     serial = sweeps.run_sweep(triples, specs=("ME",))
     again = sweeps.run_sweep(list(reversed(triples)), specs=("ME",))
     assert serial == again
@@ -99,6 +103,44 @@ def test_run_sweep_rejects_empty_specs():
         sweeps.run_sweep([((), (), ())], specs=())
 
 
+def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
+    started = []
+
+    class Pool:  # records the worker count and runs nothing
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return []
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+    one_chunk = sweeps.straight_triples(3)  # 33 triples
+    assert sweeps.run_sweep(one_chunk, specs=("ME",), jobs=1000) == sweeps.run_sweep(
+        one_chunk, specs=("ME",)
+    )
+    assert started == []  # one chunk runs in this process
+    sweeps.run_sweep(sweeps.straight_triples(4), specs=("ME",), jobs=1000)  # 2 chunks
+    sweeps.run_sweep(sweeps.straight_triples(5), specs=("ME",), jobs=1000)  # 5 chunks
+    sweeps.run_sweep(sweeps.straight_triples(5), specs=("ME",), jobs=2)
+    assert started == [2, 3, 2]
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)  # unknown: one CPU
+    sweeps.run_sweep(sweeps.straight_triples(4), specs=("ME",), jobs=1000)
+    assert started == [2, 3, 2]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError):
+        sweeps.run_sweep([((), (), ())], jobs=jobs)
+
+
 def test_identity_check_fails_on_a_non_member(monkeypatch):
     # the two-family sets are checked member by member against the content
     # and lattice definition, so a set that holds a non-member fails
@@ -115,17 +157,61 @@ def test_identity_check_fails_on_a_non_member(monkeypatch):
 
 
 WORKED = ((2, 1), (2, 1), (3, 2, 1))  # c = 2, so two pictures per order pair
+ROUNDTRIP = ("ME", "FE", "seed:0", "seed:1", "seed:2")  # verify roundtrip's default
 
 
-def _roundtrip_fails(**kw):
-    rec = sweeps.check_triple(*WORKED, **kw)
-    return any(e["roundtrip_ok"] is False for e in rec["orders"]) and not sweeps.record_ok(rec)
+def _spy(monkeypatch):
+    """Wrap both maps as ``sweeps`` holds them now; returns the lists that
+    get each forward call's (member, base) and each back call's picture."""
+    forward_calls, back_calls = [], []
+    forward, back = sweeps.tableau_to_picture, sweeps.picture_to_tableau
+
+    def spied_forward(t, base, *args, **kw):
+        forward_calls.append((t, base))
+        return forward(t, base, *args, **kw)
+
+    def spied_back(p, *args, **kw):
+        back_calls.append(p)
+        return back(p, *args, **kw)
+
+    monkeypatch.setattr(sweeps, "tableau_to_picture", spied_forward)
+    monkeypatch.setattr(sweeps, "picture_to_tableau", spied_back)
+    return forward_calls, back_calls
+
+
+def test_each_member_is_mapped_once_per_triple(monkeypatch):
+    # the maps read no order, so five orders map each member once, not five times
+    forward, back = _spy(monkeypatch)
+    mapped = 0
+    for y, w, z in sweeps.straight_triples(5):
+        forward.clear()
+        back.clear()
+        rec = sweeps.check_triple(y, w, z, specs=ROUNDTRIP)
+        assert sweeps.record_ok(rec)
+        members = [(t, y) for t in sweeps.glr_lr_tableaux(w, y, z)]
+        members += [(q, ()) for q in sweeps.glmn_lr_tableaux(y, w, z)]
+        assert Counter(forward) == Counter(members)
+        assert len(back) == len(members)
+        mapped += len(members)
+    assert mapped == 2 * 131  # both families, over the 266 triples with |z| <= 5
+
+
+def _fails_every_order(monkeypatch) -> bool:
+    """Under all five orders, every order's round-trip fails, and no member
+    went through the forward map twice: a failure is remembered, not redone."""
+    forward, _ = _spy(monkeypatch)
+    rec = sweeps.check_triple(*WORKED, specs=ROUNDTRIP)
+    return (
+        [e["roundtrip_ok"] for e in rec["orders"]] == [False] * len(ROUNDTRIP)
+        and not sweeps.record_ok(rec)
+        and set(Counter(forward).values()) == {1}
+    )
 
 
 def test_roundtrip_catches_a_wrong_back_map(monkeypatch):
     # one picture maps back to the other member; the forward images are
     # still exactly the pictures, so only the back-map check sees it
-    assert not _roundtrip_fails()
+    assert sweeps.record_ok(sweeps.check_triple(*WORKED, specs=ROUNDTRIP))
     real = sweeps.picture_to_tableau
     first = {}
 
@@ -135,7 +221,7 @@ def test_roundtrip_catches_a_wrong_back_map(monkeypatch):
         return first[p.domain]
 
     monkeypatch.setattr(sweeps, "picture_to_tableau", wrong)
-    assert _roundtrip_fails(specs=("ME",))
+    assert _fails_every_order(monkeypatch)
 
 
 def test_roundtrip_catches_a_forward_map_that_merges_members(monkeypatch):
@@ -148,7 +234,7 @@ def test_roundtrip_catches_a_forward_map_that_merges_members(monkeypatch):
         return first[t.shape]
 
     monkeypatch.setattr(sweeps, "tableau_to_picture", merged)
-    assert _roundtrip_fails(specs=("ME",))
+    assert _fails_every_order(monkeypatch)
 
 
 def test_roundtrip_catches_a_repeated_picture(monkeypatch):
@@ -161,4 +247,4 @@ def test_roundtrip_catches_a_repeated_picture(monkeypatch):
         return pics[:-1] + pics[:1]
 
     monkeypatch.setattr(sweeps, "enumerate_pictures", repeated)
-    assert _roundtrip_fails(specs=("ME",))
+    assert _fails_every_order(monkeypatch)
