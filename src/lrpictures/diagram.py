@@ -6,32 +6,43 @@ lengths, canonicalized so that no trailing zeros appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import index, le, lt
 
 Cell = tuple[int, int]
 Partition = tuple[int, ...]
 
 
+def _integers(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints. Ints and int-likes (``operator.index``)
+    pass unchanged; anything else, 2.7 or "1" say, raises ValueError rather
+    than being truncated or parsed."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integers, got {values!r}") from None
+
+
 def as_partition(rows) -> Partition:
     """Canonicalize ``rows`` to a weakly decreasing tuple without trailing zeros."""
-    out = tuple(int(r) for r in rows)
+    out = _integers(rows)
     while out and out[-1] == 0:
         out = out[:-1]
-    for i, r in enumerate(out):
-        if r < 0:
-            raise ValueError(f"negative row length in {rows!r}")
-        if i and out[i - 1] < r:
-            raise ValueError(f"row lengths must weakly decrease: {rows!r}")
+    # weakly decreasing down to a nonnegative last row means every row is
+    # nonnegative; only a failing tuple pays for the loop that names the fault
+    if out and (out[-1] < 0 or any(map(lt, out, out[1:]))):
+        for i, r in enumerate(out):
+            if r < 0:
+                raise ValueError(f"negative row length in {rows!r}")
+            if i and out[i - 1] < r:
+                raise ValueError(f"row lengths must weakly decrease: {rows!r}")
     return out
 
 
 def partition_contains(outer: Partition, inner: Partition) -> bool:
     """True when the diagram of ``inner`` sits inside the diagram of ``outer``."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def is_hook(y, m: int, n: int) -> bool:
@@ -42,22 +53,34 @@ def is_hook(y, m: int, n: int) -> bool:
     return len(y) <= m or y[m] <= n
 
 
-@dataclass(frozen=True)
 class SkewShape:
-    """The cell set of ``outer`` with the cells of ``inner`` removed."""
+    """The cell set of ``outer`` with the cells of ``inner`` removed.
 
-    outer: Partition
-    inner: Partition = ()
+    ``SkewShape(outer, inner)`` checks: it canonicalizes both partitions with
+    ``as_partition`` and refuses an ``inner`` that does not fit in ``outer``.
+    ``SkewShape._build`` only builds, for pairs the library has made canonical
+    and nested itself; the constructor ends in it, so every shape stores the
+    same fields: ``outer``, ``inner``, ``size``, its cell tuple and its hash.
+    Shapes are values: nothing changes them after they are built.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", as_partition(self.outer))
-        object.__setattr__(self, "inner", as_partition(self.inner))
-        if not partition_contains(self.outer, self.inner):
-            raise ValueError(f"inner shape {self.inner} not contained in outer {self.outer}")
+    __slots__ = ("outer", "inner", "size", "_row_major", "_hash")
 
-    @property
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
+    def __new__(cls, outer, inner=()):
+        outer, inner = as_partition(outer), as_partition(inner)
+        if not partition_contains(outer, inner):
+            raise ValueError(f"inner shape {inner} not contained in outer {outer}")
+        return cls._build(outer, inner)
+
+    @classmethod
+    def _build(cls, outer: Partition, inner: Partition = ()) -> SkewShape:
+        self = object.__new__(cls)
+        self.outer = outer
+        self.inner = inner
+        self.size = sum(outer) - sum(inner)
+        self._row_major = _cells(outer, inner)
+        self._hash = hash((outer, inner))  # shapes key most caches, so hash them once
+        return self
 
     def inner_width(self, i: int) -> int:
         """Boxes of row ``i`` occupied by the inner shape."""
@@ -65,13 +88,27 @@ class SkewShape:
 
     def cells(self) -> tuple[Cell, ...]:
         """Present cells in row-major order."""
-        return _cells(self.outer, self.inner)
+        return self._row_major
 
     def __contains__(self, cell) -> bool:
         i, j = cell
         if i < 1 or i > len(self.outer):
             return False
         return self.inner_width(i) < j <= self.outer[i - 1]
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, SkewShape)
+            and self._hash == other._hash
+            and self.outer == other.outer
+            and self.inner == other.inner
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not copied: a stored hash never crosses processes
+        return SkewShape, (self.outer, self.inner)
 
     def __repr__(self):
         if not self.inner:
@@ -91,9 +128,10 @@ def _cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
 
 @lru_cache(maxsize=1 << 14)
 def _skew(outer: Partition, inner: Partition) -> SkewShape:
-    """``SkewShape(outer, inner)``, built once per pair, for callers that
-    build the same shape again and again, as the LR layer does for Z/Y."""
-    return SkewShape(outer, inner)
+    """``SkewShape._build(outer, inner)``, built once per pair, for callers
+    that build the same shape again and again, as the LR layer does for Z/Y.
+    The pair must be canonical and nested already."""
+    return SkewShape._build(outer, inner)
 
 
 def _grow(rows: list, word) -> int:

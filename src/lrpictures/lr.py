@@ -38,12 +38,17 @@ def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> Admissibl
     return order
 
 
+def _has_barred(t: Tableau) -> bool:
+    """A barred entry keeps ``t`` out of both LR families."""
+    return any(e < 0 for row in t.rows for e in row)
+
+
 def is_glr_lr_tableau(t: Tableau, y, z, order: AdmissibleOrder | None = None) -> bool:
     """Membership in the classical family: semistandard, and the reading word
     grows ``y`` into ``z`` through valid diagrams at every step."""
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(t.shape, order)
-    if not is_semistandard(t):
+    if _has_barred(t) or not is_semistandard(t):
         return False
     return _add_boxes(y, reading(t, order)) == z
 
@@ -73,7 +78,7 @@ def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None
     order = _checked_order(q.shape, order)
     if not partition_contains(z, y) or q.shape != _skew(z, y):
         return False
-    if not is_semistandard(q) or content(q) != w:
+    if _has_barred(q) or not is_semistandard(q) or content(q) != w:
         return False
     return is_lattice_permutation(reading(q, order))
 
@@ -147,11 +152,7 @@ def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:
     is a filling of the domain shape whose reading grows the codomain's inner
     shape into its outer shape.
     """
-    rows = []
-    for i in range(1, len(p.domain.outer) + 1):
-        lo = p.domain.inner_width(i)
-        rows.append(tuple(p.forward[(i, j)][0] for j in range(lo + 1, p.domain.outer[i - 1] + 1)))
-    t = Tableau(p.domain, tuple(rows))
+    t = _tableau_from_entries(p.domain, [p.forward[cell][0] for cell in p.domain.cells()])
     if verify:
         if not is_glr_lr_tableau(t, p.codomain.inner, p.codomain.outer):
             raise ValueError("picture_to_tableau output is not an LR member for the codomain")
@@ -172,15 +173,18 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
     outer = _add_boxes(base, word)
     if outer is None:
         raise ValueError("reading word does not grow the base into a partition")
-    codomain = SkewShape(outer, base)
-    forward = {}
+    # letter e's cells take distinct p-indices 1..(count of e), as
+    # _p_indices refuses column repeats, so they fill row e of outer/base
+    # exactly once: the map is a bijection by construction
+    forward, backward = {}, {}
     for (cell, e), k in zip(t.items(), _p_indices(t, t.cells())):
-        offset = base[e - 1] if e <= len(base) else 0
-        forward[cell] = (e, offset + k)
-    p = Picture(t.shape, codomain, forward)
+        image = (e, (base[e - 1] if e <= len(base) else 0) + k)
+        forward[cell] = image
+        backward[image] = cell
+    p = Picture._build(t.shape, _skew(outer, base), forward, backward)
     if verify:
         for make in (middle_eastern, far_eastern):
-            if not is_admissible_picture(p, make(codomain), make(t.shape)):
+            if not is_admissible_picture(p, make(p.codomain), make(t.shape)):
                 raise ValueError("tableau_to_picture output is not an admissible picture")
     return p
 
@@ -202,11 +206,7 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     shape = SkewShape(w)
     if set(grid) != set(shape.cells()):
         raise ValueError("input content is not a partition shape; not an LR tableau")
-    rows = tuple(
-        tuple(grid[(i, j)] for j in range(1, shape.outer[i - 1] + 1))
-        for i in range(1, len(shape.outer) + 1)
-    )
-    t = Tableau(shape, rows)
+    t = _tableau_from_entries(shape, [grid[cell] for cell in shape.cells()])
     if verify:
         if not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
             raise ValueError("companion_tableau output is not an LR member for the input's shape")

@@ -10,29 +10,43 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagram import Cell, SkewShape
+from .diagram import Cell, SkewShape, _integers
 from .reading import AdmissibleOrder, _neighbours, is_admissible
 
 
 class Picture:
-    """A bijection between the cells of two skew shapes."""
+    """A bijection between the cells of two skew shapes.
+
+    ``Picture(domain, codomain, forward)`` checks: the cells must be integer
+    pairs, the keys of ``forward`` exactly the domain cells, and its values
+    the codomain cells, each once. ``Picture._build`` only builds, from a
+    forward map and its inverse that the library made as a bijection itself;
+    the constructor ends in it, so every picture stores the same fields:
+    ``domain``, ``codomain``, ``forward``, ``backward`` and a hash slot,
+    filled on first use as most pictures are never hashed. Pictures are
+    values: nothing changes them or their dicts after they are built.
+    """
 
     __slots__ = ("domain", "codomain", "forward", "backward", "_hash")
 
-    def __init__(self, domain: SkewShape, codomain: SkewShape, forward):
-        forward = {
-            (int(a), int(b)): (int(c), int(d)) for (a, b), (c, d) in dict(forward).items()
-        }
+    def __new__(cls, domain: SkewShape, codomain: SkewShape, forward):
+        forward = {_integers(u): _integers(v) for u, v in dict(forward).items()}
         if set(forward) != set(domain.cells()):
             raise ValueError("map keys differ from the domain cells")
         backward = {v: k for k, v in forward.items()}
         if len(backward) != len(forward) or set(backward) != set(codomain.cells()):
             raise ValueError("map values must cover the codomain cells exactly once")
+        return cls._build(domain, codomain, forward, backward)
+
+    @classmethod
+    def _build(cls, domain: SkewShape, codomain: SkewShape, forward: dict, backward: dict) -> Picture:
+        self = object.__new__(cls)
         self.domain = domain
         self.codomain = codomain
         self.forward = forward
         self.backward = backward
-        self._hash = None  # computed on first use: most pictures are never hashed
+        self._hash = None
+        return self
 
     def __call__(self, cell: Cell) -> Cell:
         return self.forward[cell]
@@ -60,7 +74,7 @@ class Picture:
 
 def omega(p: Picture) -> Picture:
     """Swap a picture for its inverse."""
-    return Picture(p.codomain, p.domain, dict(p.backward))
+    return Picture._build(p.codomain, p.domain, p.backward, p.forward)
 
 
 def is_pa_standard(mapping, target: AdmissibleOrder) -> bool:
@@ -184,6 +198,8 @@ def enumerate_pictures(
     perms = _bijections(a, a_prime)
     position = [a_prime._rank[c] for c in x.cells()]
     perms.sort(key=lambda perm: [perm[i] for i in position])
-    return tuple(
-        Picture(x, y, {dom_cells[i]: cod_cells[c] for i, c in enumerate(perm)}) for perm in perms
-    )
+    out = []
+    for perm in perms:  # each a bijection: the pictures share the orders' cell tuples
+        images = [cod_cells[c] for c in perm]
+        out.append(Picture._build(x, y, dict(zip(dom_cells, images)), dict(zip(images, dom_cells))))
+    return tuple(out)

@@ -14,7 +14,7 @@ import random
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import Cell, SkewShape
+from .diagram import Cell, SkewShape, _integers
 from .tableau import Tableau
 
 
@@ -25,7 +25,7 @@ class AdmissibleOrder:
     __slots__ = ("cells", "_rank", "_row_major", "_hash")
 
     def __init__(self, cells):
-        cells = tuple((int(i), int(j)) for i, j in cells)
+        cells = tuple(_integers((i, j)) for i, j in cells)
         if len(set(cells)) != len(cells):
             raise ValueError("order repeats a cell")
         # (i, j) is out of order when a later cell lies weakly northeast of it
@@ -132,8 +132,8 @@ def _reader(shape: SkewShape, order: AdmissibleOrder):
 
 
 def _check_word(word) -> tuple[int, ...]:
-    """``word`` as a tuple of ints; ValueError unless every letter is positive."""
-    word = tuple(int(v) for v in word)
+    """``word`` as a tuple of ints; ValueError unless every letter is a positive integer."""
+    word = _integers(word)
     if any(v < 1 for v in word):
         raise ValueError("letters must be positive")
     return word

@@ -82,6 +82,14 @@ def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
     return {images[t] for t in members} == set(pictures)
 
 
+def _same_sets(families) -> bool:
+    """Every family holds the same members as the first, which is made a set once."""
+    if len(families) < 2:
+        return True
+    first = set(families[0])
+    return all(set(s) == first for s in families[1:])
+
+
 def check_triple(
     y,
     w,
@@ -110,9 +118,7 @@ def check_triple(
         [glmn_lr_tableaux(y, w_shape.outer, z, order=o) for o in orders_zy] if straight else []
     )
 
-    order_independent = all(set(s) == set(b_sets[0]) for s in b_sets[1:]) and all(
-        set(s) == set(lr_sets[0]) for s in lr_sets[1:]
-    )
+    order_independent = _same_sets(b_sets) and _same_sets(lr_sets)
 
     identity_ok = not (identity and straight) or all(
         is_glmn_lr_tableau(q, y, w_shape.outer, z, o)

@@ -7,10 +7,9 @@ letter. The two-family alphabet is totally ordered as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import Cell, SkewShape, as_partition
+from .diagram import Cell, SkewShape, _integers, as_partition
 
 
 def bar(k: int) -> int:
@@ -37,17 +36,21 @@ def entry_str(e: int, unicode: bool = False) -> str:
     return f"{-e}̄" if unicode else f"{-e}'"
 
 
-@dataclass(frozen=True)
 class Tableau:
-    """A filling of a skew shape; ``rows[i]`` lists the entries of the present cells."""
+    """A filling of a skew shape; ``rows[i]`` lists the entries of the present cells.
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
+    ``Tableau(shape, rows)`` checks: every entry must be a nonzero integer,
+    and the rows must match the shape's row count and row widths.
+    ``Tableau._build`` only builds, for rows the library has laid out on the
+    shape itself; the constructor ends in it, so every tableau stores the same
+    fields: ``shape``, ``rows`` and its hash. Tableaux are values: nothing
+    changes them after they are built.
+    """
 
-    def __post_init__(self):
-        shape = self.shape
-        rows = tuple(tuple(int(e) for e in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    __slots__ = ("shape", "rows", "_hash")
+
+    def __new__(cls, shape: SkewShape, rows):
+        rows = tuple(_integers(r) for r in rows)
         if len(rows) != len(shape.outer):
             raise ValueError("row count does not match the shape")
         for i, r in enumerate(rows, start=1):
@@ -55,6 +58,15 @@ class Tableau:
                 raise ValueError(f"row {i} has {len(r)} entries for shape {shape}")
             if any(e == 0 for e in r):
                 raise ValueError("0 is not a tableau entry")
+        return cls._build(shape, rows)
+
+    @classmethod
+    def _build(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> Tableau:
+        self = object.__new__(cls)
+        self.shape = shape
+        self.rows = rows
+        self._hash = hash((shape, rows))
+        return self
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - self.shape.inner_width(i) - 1]
@@ -72,6 +84,20 @@ class Tableau:
     @property
     def size(self) -> int:
         return self.shape.size
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Tableau)
+            and self._hash == other._hash
+            and self.rows == other.rows
+            and self.shape == other.shape
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not copied: a stored hash never crosses processes
+        return Tableau, (self.shape, self.rows)
 
     def __repr__(self):
         body = ",".join("[" + ",".join(entry_str(e) for e in r) + "]" for r in self.rows)
@@ -231,13 +257,15 @@ def _fillings(shape: SkewShape, m: int, letters: int) -> tuple[tuple[int, ...], 
 
 
 def _tableau_from_entries(shape: SkewShape, entries) -> Tableau:
+    """The tableau on ``shape`` whose row-major entry vector is ``entries``,
+    nonzero ints, one per cell."""
     rows = []
     k = 0
     for i in range(1, len(shape.outer) + 1):
         width = shape.outer[i - 1] - shape.inner_width(i)
         rows.append(tuple(entries[k : k + width]))
         k += width
-    return Tableau(shape, tuple(rows))
+    return Tableau._build(shape, tuple(rows))
 
 
 @lru_cache(maxsize=256)

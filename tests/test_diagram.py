@@ -30,6 +30,26 @@ def test_as_partition_rejects_bad_rows():
         as_partition([1, -1])
 
 
+class _Index:
+    """An int-like that is not an int: ``operator.index`` accepts it."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_as_partition_rejects_non_integral_rows():
+    # a check refuses what it would otherwise have to truncate or parse
+    for rows in ((2.7, 1), (2.0, 1), ("2", 1), (None,)):
+        with pytest.raises(ValueError):
+            as_partition(rows)
+    with pytest.raises(ValueError):
+        SkewShape((2, 1), (1.5,))
+    assert as_partition((_Index(2), 1)) == (2, 1)
+
+
 def test_partition_contains():
     assert partition_contains((3, 2), (2, 2))
     assert partition_contains((3, 2), ())

@@ -325,3 +325,12 @@ def test_glmn_membership_on_shapes_that_do_not_nest():
     t = from_rows([[1]])
     assert not is_glmn_lr_tableau(t, (3,), (1,), (2,))
     assert not is_glr_lr_tableau(t, (3,), (2,))
+
+
+def test_membership_of_a_tableau_with_a_barred_entry():
+    # a barred letter keeps a tableau out of both families: False, as for
+    # shapes that do not nest, not the ValueError of is_semistandard
+    t = from_rows([[1, -1]])
+    assert not is_glr_lr_tableau(t, (), (2,))
+    assert not is_glmn_lr_tableau(t, (), (2,), (2,))
+    assert not is_glmn_lr_tableau(from_rows([[-1]], inner=(1,)), (1,), (1,), (2,))

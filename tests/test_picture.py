@@ -40,6 +40,13 @@ def test_picture_validation():
         )
 
 
+def test_picture_rejects_non_integral_cells():
+    one = SkewShape((1,))
+    for forward in ({(1, 1): (1.0, 1)}, {(1, 1.5): (1, 1)}):
+        with pytest.raises(ValueError):
+            Picture(one, one, forward)
+
+
 def test_picture_call_and_equality():
     assert EXAMPLE((1, 1)) == (1, 4)
     # the hash is stored on first use; an equal picture built another way, or

@@ -27,6 +27,13 @@ def test_order_rejects_repeats():
         AdmissibleOrder([(1, 1), (1, 1)])
 
 
+def test_order_and_word_checks_reject_non_integral_values():
+    with pytest.raises(ValueError):
+        AdmissibleOrder([(1, 1.5)])
+    with pytest.raises(ValueError):
+        is_lattice_permutation([1, 1.0])
+
+
 def test_stored_hash_holds_across_pickling_and_a_second_route():
     # the hash is stored at construction; an equal order that crossed a
     # process boundary, or was built from its cell list, must hash the same

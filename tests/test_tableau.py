@@ -21,6 +21,14 @@ from lrpictures.tableau import (
 )
 
 
+def test_tableau_rejects_non_integral_entries():
+    for entry in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError):
+            Tableau(SkewShape((1,)), ((entry,),))
+    with pytest.raises(ValueError):
+        from_rows([[1, 2.5]])
+
+
 def test_bar_and_entry_key():
     assert bar(2) == -2
     with pytest.raises(ValueError):
