@@ -1,10 +1,12 @@
 """Exhaustive verification sweeps over triples of shapes.
 
 These drivers back the ``verify`` subcommands and the acceptance tests. Each
-record covers one triple (y, w, z): both LR counts, picture counts for the
-first order pair, round-trips of the maps under every requested order pair,
-order-independence of the enumerated sets, and a membership check: every
-two-family LR tableau, in each order, has content w and a lattice reading.
+record covers one triple (y, w, z): both LR counts, picture counts and
+round-trips of the maps under every requested order spec, order-independence
+of the enumerated sets, and a membership check: every two-family LR tableau,
+in each order, has content w and a lattice reading. A family is built once
+per distinct order and the pictures once per distinct order pair, however
+many specs name them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ def resolve_order(spec: str, shape: SkewShape, seed_base: int = 0) -> Admissible
     if spec == "FE":
         return far_eastern(shape)
     if spec.startswith("seed:"):
-        return random_admissible_order(shape, seed_base + int(spec[5:]))
+        try:
+            n = int(spec[5:])
+        except ValueError:
+            raise ValueError(f"unknown order spec {spec!r}") from None
+        return random_admissible_order(shape, seed_base + n)
     raise ValueError(f"unknown order spec {spec!r}")
 
 
@@ -83,11 +89,8 @@ def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
 
 
 def _same_sets(families) -> bool:
-    """Every family holds the same members as the first, which is made a set once."""
-    if len(families) < 2:
-        return True
-    first = set(families[0])
-    return all(set(s) == first for s in families[1:])
+    """Every family holds the same members."""
+    return len({frozenset(s) for s in families}) <= 1
 
 
 def check_triple(
@@ -102,10 +105,15 @@ def check_triple(
 ) -> dict:
     """Run every per-triple verification; ``w`` may be a partition or a skew shape.
 
-    Families and pictures are built once per order, but each member is mapped
-    once per triple: neither map reads an order, so every order's round-trip
-    check (``_roundtrip_pair``) reads the same images, which is the same check
-    as mapping the member again."""
+    Each family is built once per distinct order on its shape, and the
+    pictures and their round-trip checks run once per distinct (order on W,
+    order on Z/Y) pair. Specs that resolve to equal orders (ME and FE on one
+    row, say) get that pair's entry under their own names: every search and
+    check is a pure function of its shapes, orders and members, so it is the
+    entry each would make alone. Each member is mapped once per triple:
+    neither map reads an order, so every pair's round-trip check
+    (``_roundtrip_pair``) reads the same images, which is the same check as
+    mapping it again."""
     y, z = as_partition(y), as_partition(z)
     w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
     straight = not w_shape.inner
@@ -113,41 +121,44 @@ def check_triple(
     orders_w = [resolve_order(s, w_shape, seed) for s in specs]
     orders_zy = [resolve_order(s, zy, seed) for s in specs]
 
-    b_sets = [glr_lr_tableaux(w_shape, y, z, order=o) for o in orders_w]
+    # one family per distinct order on its shape
+    b_sets = {o: glr_lr_tableaux(w_shape, y, z, order=o) for o in dict.fromkeys(orders_w)}
     lr_sets = (
-        [glmn_lr_tableaux(y, w_shape.outer, z, order=o) for o in orders_zy] if straight else []
+        {o: glmn_lr_tableaux(y, w_shape.outer, z, order=o) for o in dict.fromkeys(orders_zy)}
+        if straight
+        else {}
     )
 
-    order_independent = _same_sets(b_sets) and _same_sets(lr_sets)
+    order_independent = _same_sets(b_sets.values()) and _same_sets(lr_sets.values())
 
     identity_ok = not (identity and straight) or all(
-        is_glmn_lr_tableau(q, y, w_shape.outer, z, o)
-        for o, lr_set in zip(orders_zy, lr_sets)
-        for q in lr_set
+        is_glmn_lr_tableau(q, y, w_shape.outer, z, o) for o, lr_set in lr_sets.items() for q in lr_set
     )
 
-    per_order = []
+    pairs = list(zip(orders_w, orders_zy))
+    per_pair = {}
     b_images, lr_images = {}, {}
-    for k, spec in enumerate(specs):
-        entry = {"order": spec, "pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
+    for o_w, o_zy in dict.fromkeys(pairs):
+        entry = {"pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
         if pictures:
-            pics = enumerate_pictures(w_shape, zy, orders_zy[k], orders_w[k])
+            pics = enumerate_pictures(w_shape, zy, o_zy, o_w)
             entry["pictures"] = len(pics)
-            ok = _roundtrip_pair(b_sets[k], pics, y, b_images) if roundtrips else None
+            ok = _roundtrip_pair(b_sets[o_w], pics, y, b_images) if roundtrips else None
             if straight:
-                swapped = enumerate_pictures(zy, w_shape, orders_w[k], orders_zy[k])
+                swapped = enumerate_pictures(zy, w_shape, o_w, o_zy)
                 entry["pictures_swapped"] = len(swapped)
                 if roundtrips:
-                    ok = ok and _roundtrip_pair(lr_sets[k], swapped, (), lr_images)
+                    ok = ok and _roundtrip_pair(lr_sets[o_zy], swapped, (), lr_images)
             entry["roundtrip_ok"] = ok
-        per_order.append(entry)
+        per_pair[o_w, o_zy] = entry
+    per_order = [{"order": s, **per_pair[pair]} for s, pair in zip(specs, pairs)]
 
     return {
         "y": y,
         "w": (w_shape.outer, w_shape.inner),
         "z": z,
-        "c": len(b_sets[0]),
-        "n_super": len(lr_sets[0]) if straight else None,
+        "c": len(b_sets[orders_w[0]]),
+        "n_super": len(lr_sets[orders_zy[0]]) if straight else None,
         "order_independent": order_independent,
         "identity_ok": identity_ok,
         "orders": per_order,

@@ -305,6 +305,23 @@ def test_empty_orders_list_is_exit_2(capsys):
     assert "unknown order spec ''" in err
 
 
+@pytest.mark.parametrize("orders", ["ME", "ME,ME"])
+def test_order_independence_of_one_spec_is_exit_2(capsys, orders):
+    # one distinct spec compares nothing, so it is not a pass
+    code, out, err = run(capsys, "verify", "order-independence", "--max-size", "3", "--orders", orders)
+    assert code == 2
+    assert out == ""
+    assert "two distinct order specs" in err
+
+
+@pytest.mark.parametrize("spec", ["seed:x", "seed:"])
+def test_bad_seed_spec_is_named(capsys, spec):
+    code, out, err = run(capsys, "verify", "roundtrip", "--max-size", "2", "--orders", spec)
+    assert code == 2
+    assert out == ""
+    assert f"unknown order spec {spec!r}" in err
+
+
 @pytest.mark.parametrize("module", ["lrpictures", "lrpictures.cli"])
 def test_python_dash_m_runs_the_cli(module):
     def run_module(*argv):

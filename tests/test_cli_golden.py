@@ -5,7 +5,7 @@ across releases as well as across runs.  Each case runs one command in
 process through ``cli.run`` and compares the exit code and the sha256 of
 everything it wrote to stdout with the values recorded for it.  Together the
 cases cover every ``enumerate`` family, every order kind (ME, FE,
-``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and two ``verify``
+``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and three ``verify``
 sweeps.  A case whose output is meant to change gets its digest re-recorded
 in the same change, with the reason.
 """
@@ -76,6 +76,11 @@ CASES = {
     "verify roundtrip": (
         "verify roundtrip --max-size 4", None, 0,
         "4baaa4f22ed0bfaca2a2d5eff059e07614fc0dfcb93351382a1333b100787b96",
+    ),
+    # one line per spec, in spec order, also for specs that name the same order
+    "verify roundtrip, repeated specs": (
+        "verify roundtrip --max-size 5 --orders ME,FE,ME,seed:0,seed:0", None, 0,
+        "4f890ee782dc7d87aba2ee1d8fdaef0dba9057e2bd270fcd1814ee4cc50d3688",
     ),
     "verify decomposition-glmn": (
         "verify decomposition-glmn --max-size 3 --m 1 --n 1", None, 0,

@@ -16,6 +16,9 @@ def test_resolve_order():
     assert sweeps.resolve_order("seed:1", s, seed_base=2) == random_admissible_order(s, 3)
     with pytest.raises(ValueError):
         sweeps.resolve_order("rowmajor", s)
+    for spec in ("seed:x", "seed:"):
+        with pytest.raises(ValueError, match=f"unknown order spec {spec!r}"):
+            sweeps.resolve_order(spec, s)
 
 
 def test_straight_triples_small():
@@ -248,3 +251,88 @@ def test_roundtrip_catches_a_repeated_picture(monkeypatch):
 
     monkeypatch.setattr(sweeps, "enumerate_pictures", repeated)
     assert _fails_every_order(monkeypatch)
+
+
+def _some_triples():
+    """Every straight triple with |z| <= 5, and skew-W ones up to the same size."""
+    return sweeps.straight_triples(5) + sweeps.skew_w_triples(2, 3, 4, 5)
+
+
+def _distinct(y, w, z, specs, seed):
+    """The distinct orders on W and on Z/Y that ``specs`` resolve to, and their pairs."""
+    w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
+    zy = SkewShape(z, y)
+    pairs = {(sweeps.resolve_order(s, w_shape, seed), sweeps.resolve_order(s, zy, seed)) for s in specs}
+    return {o_w for o_w, _ in pairs}, {o_zy for _, o_zy in pairs}, pairs
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_spec_gets_the_entry_it_makes_alone(seed):
+    # specs that resolve to equal orders share the work, never the result
+    shared = 0
+    for y, w, z in _some_triples():
+        rec = sweeps.check_triple(y, w, z, specs=ROUNDTRIP, seed=seed)
+        assert [e["order"] for e in rec["orders"]] == list(ROUNDTRIP)
+        for spec, entry in zip(ROUNDTRIP, rec["orders"]):
+            alone = sweeps.check_triple(y, w, z, specs=(spec,), seed=seed)
+            assert entry == alone["orders"][0]
+            assert {**rec, "orders": None} == {**alone, "orders": None}
+        shared += len(_distinct(y, w, z, ROUNDTRIP, seed)[2]) < len(ROUNDTRIP)
+    assert shared  # some specs really did name equal orders
+
+
+def _spy_searches(monkeypatch):
+    """Wrap the three searches as ``sweeps`` holds them now; returns the lists
+    that get each call's positional and keyword arguments."""
+    calls = {}
+    for name in ("enumerate_pictures", "glr_lr_tableaux", "glmn_lr_tableaux"):
+        real, log = getattr(sweeps, name), calls.setdefault(name, [])
+
+        def spied(*args, _real=real, _log=log, **kw):
+            _log.append((args, kw))
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(sweeps, name, spied)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_distinct_order_and_pair_is_searched_once(monkeypatch, seed):
+    calls = _spy_searches(monkeypatch)
+    for y, w, z in _some_triples():
+        for log in calls.values():
+            log.clear()
+        rec = sweeps.check_triple(y, w, z, specs=ROUNDTRIP, seed=seed)
+        assert sweeps.record_ok(rec)
+        on_w, on_zy, pairs = _distinct(y, w, z, ROUNDTRIP, seed)
+        w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
+        straight = not w_shape.inner
+        glr = [kw["order"] for _, kw in calls["glr_lr_tableaux"]]
+        glmn = [kw["order"] for _, kw in calls["glmn_lr_tableaux"]]
+        assert len(glr) == len(on_w) and set(glr) == on_w
+        assert (len(glmn), set(glmn)) == ((len(on_zy), on_zy) if straight else (0, set()))
+        # each call as (order on W, order on Z/Y), whichever shape it maps from
+        searched = Counter(
+            (a[3], a[2]) if a[0] == w_shape else (a[2], a[3]) for a, _ in calls["enumerate_pictures"]
+        )
+        assert searched == {pair: 2 if straight else 1 for pair in pairs}
+
+
+def test_different_orders_are_never_merged(monkeypatch):
+    # ME and FE differ on both W = (2,2) and Z/Y = (4,4)/(2,2), so both are searched
+    y, w, z = (2, 2), (2, 2), (4, 4)
+    w_shape, zy = SkewShape(w), SkewShape(z, y)
+    assert middle_eastern(w_shape) != far_eastern(w_shape)
+    assert middle_eastern(zy) != far_eastern(zy)
+    calls = _spy_searches(monkeypatch)
+    rec = sweeps.check_triple(y, w, z, specs=("ME", "FE", "ME"))
+    assert sweeps.record_ok(rec) and rec["c"] == 1
+    assert [kw["order"] for _, kw in calls["glr_lr_tableaux"]] == [middle_eastern(w_shape), far_eastern(w_shape)]
+    assert [kw["order"] for _, kw in calls["glmn_lr_tableaux"]] == [middle_eastern(zy), far_eastern(zy)]
+    assert [a[2:] for a, _ in calls["enumerate_pictures"]] == [
+        (middle_eastern(zy), middle_eastern(w_shape)),
+        (middle_eastern(w_shape), middle_eastern(zy)),
+        (far_eastern(zy), far_eastern(w_shape)),
+        (far_eastern(w_shape), far_eastern(zy)),
+    ]
+    assert [e["order"] for e in rec["orders"]] == ["ME", "FE", "ME"]
