@@ -220,7 +220,8 @@ def _cmd_verify(args) -> int:
                 else ("ME", "FE", "seed:0", "seed:1", "seed:2", "seed:3", "seed:4")
             )
             specs = tuple(args.orders.split(",")) if args.orders is not None else default
-            if args.what == "order-independence" and len(set(specs)) < 2:
+            named = {sweeps.parse_order_spec(s) for s in specs}  # refuses an unknown spec first
+            if args.what == "order-independence" and len(named) < 2:
                 raise InputError(f"order-independence needs two distinct order specs, not {args.orders!r}")
             records = sweeps.run_sweep(
                 sweeps.straight_triples(args.max_size),

@@ -22,19 +22,27 @@ from .reading import AdmissibleOrder, far_eastern, middle_eastern, random_admiss
 DEFAULT_ORDERS = ("ME", "FE")
 
 
+def parse_order_spec(spec: str) -> tuple:
+    """The order a textual spec (ME | FE | seed:<n>) names, as ("ME",), ("FE",)
+    or ("seed", n). Equal keys name the same order on every shape, so
+    ``seed:0`` and ``seed:00`` are one spec."""
+    if spec in ("ME", "FE"):
+        return (spec,)
+    if spec.startswith("seed:"):
+        try:
+            return ("seed", int(spec[5:]))
+        except ValueError:
+            pass
+    raise ValueError(f"unknown order spec {spec!r}")
+
+
 def resolve_order(spec: str, shape: SkewShape, seed_base: int = 0) -> AdmissibleOrder:
     """Turn a textual order spec (ME | FE | seed:<n>) into an order on ``shape``."""
     if spec == "ME":
         return middle_eastern(shape)
     if spec == "FE":
         return far_eastern(shape)
-    if spec.startswith("seed:"):
-        try:
-            n = int(spec[5:])
-        except ValueError:
-            raise ValueError(f"unknown order spec {spec!r}") from None
-        return random_admissible_order(shape, seed_base + n)
-    raise ValueError(f"unknown order spec {spec!r}")
+    return random_admissible_order(shape, seed_base + parse_order_spec(spec)[1])
 
 
 def straight_triples(max_z: int) -> list[tuple]:

@@ -305,13 +305,21 @@ def test_empty_orders_list_is_exit_2(capsys):
     assert "unknown order spec ''" in err
 
 
-@pytest.mark.parametrize("orders", ["ME", "ME,ME"])
+@pytest.mark.parametrize("orders", ["ME", "ME,ME", "seed:0,seed:00", "seed:1,seed:+1"])
 def test_order_independence_of_one_spec_is_exit_2(capsys, orders):
     # one distinct spec compares nothing, so it is not a pass
     code, out, err = run(capsys, "verify", "order-independence", "--max-size", "3", "--orders", orders)
     assert code == 2
     assert out == ""
     assert "two distinct order specs" in err
+
+
+@pytest.mark.parametrize("orders", ["bogus", "ME,bogus"])
+def test_order_independence_names_an_unknown_spec(capsys, orders):
+    code, out, err = run(capsys, "verify", "order-independence", "--max-size", "3", "--orders", orders)
+    assert code == 2
+    assert out == ""
+    assert "unknown order spec 'bogus'" in err
 
 
 @pytest.mark.parametrize("spec", ["seed:x", "seed:"])

@@ -21,6 +21,16 @@ def test_resolve_order():
             sweeps.resolve_order(spec, s)
 
 
+def test_parse_order_spec():
+    assert sweeps.parse_order_spec("ME") == ("ME",)
+    assert sweeps.parse_order_spec("FE") == ("FE",)
+    assert sweeps.parse_order_spec("seed:0") == sweeps.parse_order_spec("seed:00") == ("seed", 0)
+    assert sweeps.parse_order_spec("seed:+1") == ("seed", 1)
+    for spec in ("bogus", "me", "", "seed:x", "seed:"):
+        with pytest.raises(ValueError, match=f"unknown order spec {spec!r}"):
+            sweeps.parse_order_spec(spec)
+
+
 def test_straight_triples_small():
     triples = sweeps.straight_triples(2)
     assert ((), (), ()) in triples
