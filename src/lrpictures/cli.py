@@ -83,8 +83,11 @@ def _resolve_order(spec: str | None, shape: SkewShape, seed: int):
     return sweeps.resolve_order(spec, shape, seed)
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps with options builds one per call
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
 
 def _cmd_coeff(args) -> int:

@@ -11,7 +11,8 @@ lattice permutations, a fact the test suite checks three ways.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 
 from .diagram import (
     Partition, SkewShape, _add_boxes, as_partition, hook_partitions_up_to, is_hook,
@@ -77,18 +78,35 @@ def weight(word) -> tuple[int, ...]:
     return tuple(counts.get(k, 0) for k in range(1, top + 1))
 
 
-@dataclass
 class DecompositionReport:
     """Outcome of a product-decomposition check.
 
     ``per_shape`` maps each summand shape to its multiplicity; ``lhs_card`` and
     ``rhs_card`` count the elements (or weight vectors) on the two sides.
+    Reports with equal fields are equal.
     """
 
-    lhs_card: int
-    rhs_card: int
-    per_shape: dict[Partition, int]
-    passed: bool
+    __slots__ = ("lhs_card", "rhs_card", "per_shape", "passed")
+
+    def __init__(self, lhs_card: int, rhs_card: int, per_shape: dict[Partition, int], passed: bool):
+        self.lhs_card = lhs_card
+        self.rhs_card = rhs_card
+        self.per_shape = per_shape
+        self.passed = passed
+
+    def _fields(self) -> tuple:
+        return (self.lhs_card, self.rhs_card, self.per_shape, self.passed)
+
+    def __eq__(self, other):
+        if other.__class__ is not DecompositionReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"DecompositionReport(lhs_card={self.lhs_card!r}, rhs_card={self.rhs_card!r}, "
+            f"per_shape={self.per_shape!r}, passed={self.passed!r})"
+        )
 
     def to_obj(self) -> dict:
         return {
@@ -139,6 +157,14 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     return DecompositionReport(lhs_card, rhs_card, dict(grown_me), passed)
 
 
+@lru_cache(maxsize=256)
+def _glmn_weights(shape: SkewShape, m: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The weight multiset of the (m, n) fillings of ``shape``, as (weight, count)
+    pairs, built once per shape: a decomposition sweep meets each shape again
+    and again, as a factor and as a summand."""
+    return tuple(Counter(glmn_weight(t, m, n) for t in enumerate_glmn(shape, m, n)).items())
+
+
 def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     """Check the two-family product decomposition at the level of weights.
 
@@ -151,11 +177,11 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     for name, p in (("y", y), ("w", w)):
         if not is_hook(p, m, n):
             raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
-    by = enumerate_glmn(SkewShape(y), m, n)
-    bw = enumerate_glmn(SkewShape(w), m, n)
-    wy = [glmn_weight(t, m, n) for t in by]
-    ww = [glmn_weight(t, m, n) for t in bw]
-    lhs = Counter(tuple(a + b for a, b in zip(u, v)) for u in wy for v in ww)
+    ww = _glmn_weights(SkewShape(w), m, n)
+    lhs: Counter = Counter()
+    for u, a in _glmn_weights(SkewShape(y), m, n):
+        for v, b in ww:
+            lhs[tuple(map(add, u, v))] += a * b
 
     total = sum(y) + sum(w)
     rhs: Counter = Counter()
@@ -167,8 +193,7 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
         if mult == 0:
             continue
         per_shape[z] = mult
-        zw = Counter(glmn_weight(t, m, n) for t in enumerate_glmn(SkewShape(z), m, n))
-        for vec, k in zw.items():
+        for vec, k in _glmn_weights(SkewShape(z), m, n):
             rhs[vec] += mult * k
     lhs_card = sum(lhs.values())
     rhs_card = sum(rhs.values())

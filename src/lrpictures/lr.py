@@ -13,7 +13,6 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import SkewShape, _add_boxes, _skew, as_partition, is_hook, partition_contains
@@ -218,12 +217,38 @@ def companion_tableau_via_pictures(q: Tableau) -> Tableau:
     return picture_to_tableau(omega(tableau_to_picture(q, base=())))
 
 
-@dataclass(frozen=True)
 class LRCoefficient:
-    """Both counts for one triple: classical tableaux and two-family tableaux."""
+    """Both counts for one triple: classical tableaux and two-family tableaux.
 
-    c: int
-    n_super: int
+    A value: equal to and hashed like another LRCoefficient with the same
+    ``(c, n_super)``, and nothing changes it after it is built.
+    """
+
+    __slots__ = ("c", "n_super")
+
+    def __init__(self, c: int, n_super: int):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "n_super", n_super)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not LRCoefficient:
+            return NotImplemented
+        return self.c == other.c and self.n_super == other.n_super
+
+    def __hash__(self):
+        return hash((self.c, self.n_super))
+
+    def __reduce__(self):  # rebuilt through the constructor, which alone may set fields
+        return LRCoefficient, (self.c, self.n_super)
+
+    def __repr__(self):
+        return f"LRCoefficient(c={self.c!r}, n_super={self.n_super!r})"
 
 
 def lr_coefficient(y, w, z, m: int, n: int, verify: bool = False) -> LRCoefficient:

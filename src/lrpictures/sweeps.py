@@ -12,7 +12,6 @@ many specs name them.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .diagram import SkewShape, as_partition, partitions_of, partitions_up_to, subdiagrams
 from .lr import glmn_lr_tableaux, glr_lr_tableaux, is_glmn_lr_tableau, picture_to_tableau, tableau_to_picture
@@ -211,6 +210,8 @@ def run_sweep(
     workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
     if workers <= 1:
         return [_worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing, slow to start
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, tasks, chunksize=_CHUNK))
 

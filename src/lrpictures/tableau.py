@@ -256,16 +256,23 @@ def _fillings(shape: SkewShape, m: int, letters: int) -> tuple[tuple[int, ...], 
     return tuple(_iter_fillings(shape, m, letters))
 
 
+@lru_cache(maxsize=1 << 12)
+def _row_spans(shape: SkewShape) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of each row's slice of a row-major entry vector on ``shape``."""
+    spans = []
+    k = 0
+    for i, row in enumerate(shape.outer, start=1):
+        stop = k + row - shape.inner_width(i)
+        spans.append((k, stop))
+        k = stop
+    return tuple(spans)
+
+
 def _tableau_from_entries(shape: SkewShape, entries) -> Tableau:
     """The tableau on ``shape`` whose row-major entry vector is ``entries``,
     nonzero ints, one per cell."""
-    rows = []
-    k = 0
-    for i in range(1, len(shape.outer) + 1):
-        width = shape.outer[i - 1] - shape.inner_width(i)
-        rows.append(tuple(entries[k : k + width]))
-        k += width
-    return Tableau._build(shape, tuple(rows))
+    entries = tuple(entries)
+    return Tableau._build(shape, tuple([entries[a:b] for a, b in _row_spans(shape)]))
 
 
 @lru_cache(maxsize=256)

@@ -211,6 +211,46 @@ def test_order_file_is_honored(capsys, tmp_path):
     assert "admissible" in err
 
 
+# modules that no command needs at start-up: the process pool (multiprocessing,
+# logging) and dataclasses (inspect)
+HEAVY_MODULES = ("dataclasses", "inspect", "logging", "concurrent.futures", "multiprocessing")
+
+
+def _newly_loaded(code: str) -> set:
+    """The modules of HEAVY_MODULES that ``code`` loads in a bare interpreter.
+
+    The interpreter's own start-up, site packages included, is the baseline:
+    only what ``code`` adds to ``sys.modules`` counts."""
+    script = (
+        "import sys; before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split()) & set(HEAVY_MODULES)
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    assert _newly_loaded("import lrpictures.cli") == set()
+
+
+def test_a_sweep_in_process_never_imports_the_pool():
+    # one job, and one chunk at any job count, run in this process
+    code = (
+        "from lrpictures import sweeps\n"
+        "triples = sweeps.straight_triples(3)\n"
+        "assert all(map(sweeps.record_ok, sweeps.run_sweep(triples, jobs=1)))\n"
+        "assert all(map(sweeps.record_ok, sweeps.run_sweep(triples, jobs=4)))"
+    )
+    assert _newly_loaded(code) == set()
+
+
 def test_deeply_nested_json_is_exit_2(tmp_path):
     # json.load gives up with RecursionError long before 100,000 levels
     path = tmp_path / "deep.json"

@@ -5,7 +5,7 @@ across releases as well as across runs.  Each case runs one command in
 process through ``cli.run`` and compares the exit code and the sha256 of
 everything it wrote to stdout with the values recorded for it.  Together the
 cases cover every ``enumerate`` family, every order kind (ME, FE,
-``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and three ``verify``
+``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and five ``verify``
 sweeps.  A case whose output is meant to change gets its digest re-recorded
 in the same change, with the reason.
 """
@@ -85,6 +85,14 @@ CASES = {
     "verify decomposition-glmn": (
         "verify decomposition-glmn --max-size 3 --m 1 --n 1", None, 0,
         "9184dba4b4417ff2675061662a1937d4fee0f165b8fb3c8bce0d78794406a6ec",
+    ),
+    "verify decomposition-glr, r = 3": (
+        "verify decomposition-glr --max-size 3 --r 3", None, 0,
+        "fc2507a661c75ac1a099222d5d66a7983a7614837f760581afd577960db2cb38",
+    ),
+    "verify decomposition-glmn, a (2,1) hook": (
+        "verify decomposition-glmn --max-size 4 --m 2 --n 1", None, 0,
+        "16d704c35032aae7b92a4f32548191a843427586e742d0806c3a6aac0cec00dd",
     ),
 }
 

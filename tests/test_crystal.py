@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import tensor_lower, tensor_raise
 from lrpictures.crystal import (
+    DecompositionReport,
     glr_summand_shapes,
     is_highest_weight,
     lower,
@@ -113,6 +114,21 @@ def test_glmn_decomposition_small():
     assert rep.passed
     assert rep.lhs_card == rep.rhs_card == 4
     assert rep.per_shape == {(2,): 1, (1, 1): 1}
+
+
+def test_decomposition_report_fields_equality_and_object_form():
+    rep = verify_decomposition_glmn((1,), (1,), 1, 1)
+    assert (rep.lhs_card, rep.rhs_card, rep.per_shape, rep.passed) == (4, 4, {(2,): 1, (1, 1): 1}, True)
+    assert rep == DecompositionReport(4, 4, {(1, 1): 1, (2,): 1}, True)
+    assert rep != DecompositionReport(4, 4, {(2,): 1, (1, 1): 1}, False)
+    assert rep != DecompositionReport(4, 5, {(2,): 1, (1, 1): 1}, True)
+    assert rep != (4, 4, {(2,): 1, (1, 1): 1}, True)
+    assert repr(rep) == (
+        "DecompositionReport(lhs_card=4, rhs_card=4, per_shape={(2,): 1, (1, 1): 1}, passed=True)"
+    )
+    # summand shapes are keyed by their rows, in sorted order
+    assert rep.to_obj() == {"lhs_card": 4, "rhs_card": 4, "per_shape": {"1,1": 1, "2": 1}, "pass": True}
+    assert list(rep.to_obj()["per_shape"]) == ["1,1", "2"]
 
 
 def test_glmn_decomposition_rejects_non_hooks():

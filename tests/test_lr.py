@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ import strategies as sts
 from oracles import filling_of, glmn_lr_oracle, glr_lr_oracle, p_index_oracle
 from lrpictures.diagram import SkewShape, partition_contains, partitions_of
 from lrpictures.lr import (
+    LRCoefficient,
     companion_tableau,
     companion_tableau_via_pictures,
     glmn_lr_tableaux,
@@ -250,6 +252,26 @@ def test_lr_coefficient_validation():
         lr_coefficient((3, 3, 3), (), (3, 3, 3), 2, 2)
     got = lr_coefficient((1,), (1,), (3,), 2, 2)
     assert (got.c, got.n_super) == (0, 0)
+
+
+def test_lr_coefficient_is_a_value():
+    got = lr_coefficient((5, 2, 1), (3, 2, 2, 1), (6, 4, 2, 2, 2), 3, 3)
+    assert got == LRCoefficient(3, 3) == LRCoefficient(c=3, n_super=3)
+    assert got != LRCoefficient(3, 2) and got != LRCoefficient(2, 3)
+    assert got != (3, 3) and (3, 3) != got  # a value of its own, not a tuple
+    assert hash(got) == hash(LRCoefficient(3, 3))
+    assert len({got, LRCoefficient(3, 3), LRCoefficient(0, 0)}) == 2
+    assert repr(got) == "LRCoefficient(c=3, n_super=3)"
+    with pytest.raises(AttributeError):
+        got.c = 4
+    with pytest.raises(AttributeError):
+        got.extra = 1
+    with pytest.raises(AttributeError):
+        del got.n_super
+    assert (got.c, got.n_super) == (3, 3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(got, protocol))
+        assert back == got and hash(back) == hash(got)
 
 
 @settings(max_examples=20)

@@ -132,7 +132,7 @@ def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return []
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
     one_chunk = sweeps.straight_triples(3)  # 33 triples
     assert sweeps.run_sweep(one_chunk, specs=("ME",), jobs=1000) == sweeps.run_sweep(
