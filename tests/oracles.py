@@ -124,6 +124,18 @@ def pictures_oracle(x, y, a, a_prime):
     return found
 
 
+def subdiagrams_oracle(z):
+    """Every tuple of row lengths bounded by ``z`` that is a partition, sorted."""
+    z = tuple(z)
+    out = set()
+    for rows in product(*(range(r + 1) for r in z)):
+        if all(rows[i] >= rows[i + 1] for i in range(len(rows) - 1)):
+            while rows and rows[-1] == 0:
+                rows = rows[:-1]
+            out.add(rows)
+    return sorted(out)
+
+
 def lattice_oracle(word):
     counts = Counter()
     for v in word:

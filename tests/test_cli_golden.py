@@ -5,7 +5,7 @@ across releases as well as across runs.  Each case runs one command in
 process through ``cli.run`` and compares the exit code and the sha256 of
 everything it wrote to stdout with the values recorded for it.  Together the
 cases cover every ``enumerate`` family, every order kind (ME, FE,
-``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and five ``verify``
+``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and seven ``verify``
 sweeps.  A case whose output is meant to change gets its digest re-recorded
 in the same change, with the reason.
 """
@@ -93,6 +93,20 @@ CASES = {
     "verify decomposition-glmn, a (2,1) hook": (
         "verify decomposition-glmn --max-size 4 --m 2 --n 1", None, 0,
         "16d704c35032aae7b92a4f32548191a843427586e742d0806c3a6aac0cec00dd",
+    ),
+    "verify order-independence": (
+        "verify order-independence --max-size 5", None, 0,
+        "b6ac2c166110fc34a9b9899aa1e4c264d4cbd5c3152a19b15f6c7c2bf9fa8306",
+    ),
+    "verify coefficients, a (1,1) hook": (
+        "verify coefficients --max-size 6 --m 1 --n 1", None, 0,
+        "4219333e6dd1bc006a9377913bd51834918f5830a7484fef794cb9c9a80b938c",
+    ),
+    # 16 pictures onto a staircase strip, under a seeded order and FE
+    "enumerate pictures, seed and FE": (
+        "enumerate pictures --domain 3,2,1 --codomain 6,5,4,3,2,1/5,4,3,2,1 --order seed:2 --order2 FE",
+        None, 0,
+        "acb2ad92c18853c481c2851f7908c6b72322c319deb703de9f7e81ea943e1184",
     ),
 }
 

@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
 import strategies as sts
+from oracles import subdiagrams_oracle
 from lrpictures.diagram import (
     SkewShape,
     add_box,
@@ -78,6 +81,12 @@ def test_skew_shape_cells_row_major():
     assert (3, 1) not in s
 
 
+def test_equal_shapes_are_one_object():
+    shape = SkewShape((3, 1, 0), [1])
+    assert shape is SkewShape((3, 1), (1,))
+    assert pickle.loads(pickle.dumps(shape)) is shape
+
+
 def test_skew_shape_rejects_bad_inner():
     with pytest.raises(ValueError):
         SkewShape((2,), (1, 1))
@@ -140,6 +149,11 @@ def test_partitions_up_to_ordering():
 def test_subdiagrams():
     assert subdiagrams((2, 1)) == ((), (1,), (1, 1), (2,), (2, 1))
     assert subdiagrams(()) == ((),)
+
+
+def test_subdiagrams_match_the_filter_in_order():
+    for z in partitions_up_to(10):
+        assert list(subdiagrams(z)) == subdiagrams_oracle(z), z
 
 
 @given(sts.partitions(max_size=5))

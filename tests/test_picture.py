@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -250,3 +251,17 @@ def test_omega_bijects_the_two_picture_sets(x, y):
     fwd = enumerate_pictures(x, y, middle_eastern(y), middle_eastern(x))
     back = enumerate_pictures(y, x, middle_eastern(x), middle_eastern(y))
     assert {omega(p) for p in fwd} == set(back)
+
+
+def test_search_on_a_row_of_6000_cells_keeps_no_table_of_cell_pairs():
+    # what the search caches per order grows linearly in the cell count
+    x, zy = SkewShape((6000,)), SkewShape((6000, 1), (1,))
+    a, a_prime = middle_eastern(zy), middle_eastern(x)
+    tracemalloc.start()
+    try:
+        pictures = enumerate_pictures(x, zy, a, a_prime)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pictures) == 1
+    assert held < 5 * 2**20
