@@ -14,9 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
-from .diagram import (
-    Partition, SkewShape, _add_boxes, as_partition, hook_partitions_up_to, is_hook,
-)
+from .diagram import Partition, SkewShape, _add_boxes, as_partition, is_hook, partitions_of
 from .lr import glmn_lr_tableaux
 from .reading import _check_word, _reader, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
@@ -186,8 +184,8 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     total = sum(y) + sum(w)
     rhs: Counter = Counter()
     per_shape: dict[Partition, int] = {}
-    for z in hook_partitions_up_to(total, m, n):
-        if sum(z) != total:
+    for z in partitions_of(total):
+        if not is_hook(z, m, n):
             continue
         mult = len(glmn_lr_tableaux(y, w, z))
         if mult == 0:

@@ -7,7 +7,6 @@ lengths, canonicalized so that no trailing zeros appear.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from operator import index, le, lt
 
 Cell = tuple[int, int]
@@ -58,27 +57,35 @@ class SkewShape:
 
     ``SkewShape(outer, inner)`` checks: it canonicalizes both partitions with
     ``as_partition`` and refuses an ``inner`` that does not fit in ``outer``.
-    ``SkewShape._build`` only builds, for pairs the library has made canonical
-    and nested itself; the constructor ends in it, so every shape stores the
-    same fields: ``outer``, ``inner``, ``size``, its cell tuple and its hash.
+    It then returns ``_skew(outer, inner)``, so equal shapes are one object
+    while the bounded table of ``_skew`` holds it. ``SkewShape._build`` only
+    builds, for pairs the library has made canonical and nested itself, so
+    every shape stores the same fields: ``outer``, ``inner``, ``size``, its
+    cell tuple, each row's ``(start, stop)`` span in that tuple, and its hash.
     Shapes are values: nothing changes them after they are built.
     """
 
-    __slots__ = ("outer", "inner", "size", "_row_major", "_hash")
+    __slots__ = ("outer", "inner", "size", "_row_major", "_spans", "_hash")
 
     def __new__(cls, outer, inner=()):
         outer, inner = as_partition(outer), as_partition(inner)
         if not partition_contains(outer, inner):
             raise ValueError(f"inner shape {inner} not contained in outer {outer}")
-        return cls._build(outer, inner)
+        return _skew(outer, inner)
 
     @classmethod
     def _build(cls, outer: Partition, inner: Partition = ()) -> SkewShape:
         self = object.__new__(cls)
         self.outer = outer
         self.inner = inner
-        self.size = sum(outer) - sum(inner)
-        self._row_major = _cells(outer, inner)
+        cells, spans = [], []
+        for i, row in enumerate(outer, start=1):
+            lo = inner[i - 1] if i <= len(inner) else 0
+            spans.append((len(cells), len(cells) + row - lo))
+            cells.extend((i, j) for j in range(lo + 1, row + 1))
+        self.size = len(cells)
+        self._row_major = tuple(cells)
+        self._spans = tuple(spans)
         self._hash = hash((outer, inner))  # shapes key most caches, so hash them once
         return self
 
@@ -117,20 +124,10 @@ class SkewShape:
 
 
 @lru_cache(maxsize=1 << 14)
-def _cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
-    out = []
-    for i, row in enumerate(outer, start=1):
-        lo = inner[i - 1] if i <= len(inner) else 0
-        for j in range(lo + 1, row + 1):
-            out.append((i, j))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 14)
 def _skew(outer: Partition, inner: Partition) -> SkewShape:
-    """``SkewShape._build(outer, inner)``, built once per pair, for callers
-    that build the same shape again and again, as the LR layer does for Z/Y.
-    The pair must be canonical and nested already."""
+    """The one table of shapes: ``SkewShape._build(outer, inner)``, built once
+    per pair. The constructor ends here, and so may callers whose pair is
+    canonical and nested already, as the LR layer's Z/Y is."""
     return SkewShape._build(outer, inner)
 
 
@@ -201,15 +198,21 @@ def partitions_up_to(n: int, max_rows: int | None = None, max_cols: int | None =
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 10)
 def subdiagrams(z) -> tuple[Partition, ...]:
-    """All partitions whose diagram is contained in the diagram of ``z``."""
+    """All partitions whose diagram is contained in the diagram of ``z``, in
+    ascending order. Each is generated once, depth first: row i runs from 0
+    (the partition ends) to the smaller of z's row i and the row above."""
     z = as_partition(z)
     out = []
-    for rows in product(*(range(r + 1) for r in z)):
-        if all(rows[i] >= rows[i + 1] for i in range(len(rows) - 1)):
-            out.append(as_partition(rows))
-    return tuple(sorted(set(out)))
+    stack = [()]
+    while stack:
+        rows = stack.pop()
+        out.append(rows)
+        i = len(rows)
+        if i < len(z):
+            top = min(z[i], rows[-1]) if rows else z[0]
+            stack.extend(rows + (r,) for r in range(top, 0, -1))
+    return tuple(out)
 
 
 def hook_partitions_up_to(size: int, m: int, n: int) -> tuple[Partition, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .diagram import SkewShape, _add_boxes, _skew, as_partition, is_hook, partition_contains
-from .picture import Picture, is_admissible_picture, omega
+from .picture import Picture, is_admissible_picture
 from .reading import (
     AdmissibleOrder,
     _neighbours,
@@ -210,11 +210,6 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
         if not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
             raise ValueError("companion_tableau output is not an LR member for the input's shape")
     return t
-
-
-def companion_tableau_via_pictures(q: Tableau) -> Tableau:
-    """The same map spelled as the composite swap: tableau -> picture -> swap -> tableau."""
-    return picture_to_tableau(omega(tableau_to_picture(q, base=())))
 
 
 class LRCoefficient:

@@ -102,33 +102,29 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
 
 @lru_cache(maxsize=1 << 12)
 def _codomain_tables(a: AdmissibleOrder):
-    """Over ``a``'s cells in row-major order: ranks in ``a``, bitsets ``preds`` of
-    the left and upper neighbours, indices ``succs`` of the right and lower ones,
-    bitsets ``rank_lt[r]`` of the cells ranked below r, and of the cells with neither."""
-    cells = a._row_major
-    index = {c: k for k, c in enumerate(cells)}
-    rank = tuple(a._rank[c] for c in cells)
-    preds = tuple(sum(1 << index[v] for v in ((i, j - 1), (i - 1, j)) if v in index) for i, j in cells)
-    succs = tuple(tuple(index[v] for v in ((i, j + 1), (i + 1, j)) if v in index) for i, j in cells)
-    rank_lt = [0]
-    for c in a.cells:
-        rank_lt.append(rank_lt[-1] | 1 << index[c])
-    return rank, preds, succs, tuple(rank_lt), sum(1 << c for c, p in enumerate(preds) if not p)
+    """Over ``a``'s cells, each named by its rank in ``a``: bitsets ``preds`` of
+    the left and upper neighbours, ranks ``succs`` of the right and lower ones,
+    and the bitset of the cells with neither."""
+    rank = a._rank
+    preds = tuple(sum(1 << rank[v] for v in ((i, j - 1), (i - 1, j)) if v in rank) for i, j in a.cells)
+    succs = tuple(tuple(rank[v] for v in ((i, j + 1), (i + 1, j)) if v in rank) for i, j in a.cells)
+    return preds, succs, sum(1 << c for c, p in enumerate(preds) if not p)
 
 
 def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:
     """All bijections from ``a_prime``'s cells onto ``a``'s cells, both skew
     shapes, that respect both orders, found by a depth-first loop.
 
-    Position i is the cell u = ``a_prime.cells[i]``; its image is an index c
-    into ``a``'s cells in row-major order.  The loop reads tables built once
-    per order (``_neighbours``, ``_codomain_tables``).  c survives when:
+    Position i is the cell u = ``a_prime.cells[i]``; its image is a rank c in
+    ``a``, naming ``a.cells[c]``.  The loop reads tables built once per order
+    (``_neighbours``, ``_codomain_tables``).  c survives when:
 
     * componentwise-comparable domain cells map to order-compatible ranks.
       The earlier cells already do, so the images of u's upper and right
-      neighbours, which come first, bound rank[c]: an earlier v <= u lies in
-      a higher row, so v <= up(u), and an earlier v >= u in a column further
-      right, so v >= right(u), both neighbours being cells by convexity; and
+      neighbours, which come first, bound c: an earlier v <= u lies in a
+      higher row, so v <= up(u), and an earlier v >= u in a column further
+      right, so v >= right(u), both neighbours being cells by convexity; so c
+      lies above the rank of up(u)'s image and below that of right(u)'s; and
     * every codomain cell componentwise below c is already an image, so the
       partial inverse respects assignment order; by convexity, that holds once
       c's left and upper neighbours are images, which an int bitset tracks.
@@ -137,9 +133,8 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
     if n == 0:
         return [()]
     up, right = _neighbours(a_prime)
-    rank, preds, succs, rank_lt, roots = _codomain_tables(a)
+    preds, succs, roots = _codomain_tables(a)
     perm = [0] * n
-    ranks = [0] * n  # rank[perm[j]]
     # at position i: candidates not tried yet, images so far, cells that qualify
     free = [0] * n
     placed = [0] * n
@@ -159,7 +154,6 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
         if i == n - 1:
             out.append(tuple(perm))
             continue
-        ranks[i] = rank[c]
         now = placed[i] | bit
         avail = ready[i] ^ bit
         for d in succs[c]:
@@ -168,9 +162,9 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
         i += 1
         placed[i] = now
         ready[i] = avail
-        lo = ranks[up[i]] if up[i] >= 0 else -1
-        hi = ranks[right[i]] if right[i] >= 0 else n
-        free[i] = rank_lt[hi] & ~rank_lt[lo + 1] & avail
+        lo = perm[up[i]] + 1 if up[i] >= 0 else 0
+        hi = perm[right[i]] if right[i] >= 0 else n
+        free[i] = avail & ((1 << hi) - 1) & -(1 << lo)  # ranks lo..hi-1; none when lo >= hi
     return out
 
 
@@ -193,13 +187,10 @@ def enumerate_pictures(
         raise ValueError("a_prime is not an admissible order on the domain")
     if x.size != y.size:
         return ()
-    dom_cells = a_prime.cells
-    cod_cells = y.cells()  # a's cells in row-major order, as just checked
-    perms = _bijections(a, a_prime)
+    dom_cells, cod_cells = a_prime.cells, a.cells
     position = [a_prime._rank[c] for c in x.cells()]
-    perms.sort(key=lambda perm: [perm[i] for i in position])
-    out = []
-    for perm in perms:  # each a bijection: the pictures share the orders' cell tuples
-        images = [cod_cells[c] for c in perm]
-        out.append(Picture._build(x, y, dict(zip(dom_cells, images)), dict(zip(images, dom_cells))))
-    return tuple(out)
+    found = [[cod_cells[c] for c in perm] for perm in _bijections(a, a_prime)]
+    found.sort(key=lambda images: [images[i] for i in position])  # cells sort row-major
+    return tuple(  # each a bijection: the pictures share the orders' cell tuples
+        Picture._build(x, y, dict(zip(dom_cells, images)), dict(zip(images, dom_cells))) for images in found
+    )

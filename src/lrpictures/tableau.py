@@ -256,26 +256,13 @@ def _fillings(shape: SkewShape, m: int, letters: int) -> tuple[tuple[int, ...], 
     return tuple(_iter_fillings(shape, m, letters))
 
 
-@lru_cache(maxsize=1 << 12)
-def _row_spans(shape: SkewShape) -> tuple[tuple[int, int], ...]:
-    """(start, stop) of each row's slice of a row-major entry vector on ``shape``."""
-    spans = []
-    k = 0
-    for i, row in enumerate(shape.outer, start=1):
-        stop = k + row - shape.inner_width(i)
-        spans.append((k, stop))
-        k = stop
-    return tuple(spans)
-
-
 def _tableau_from_entries(shape: SkewShape, entries) -> Tableau:
     """The tableau on ``shape`` whose row-major entry vector is ``entries``,
     nonzero ints, one per cell."""
     entries = tuple(entries)
-    return Tableau._build(shape, tuple([entries[a:b] for a, b in _row_spans(shape)]))
+    return Tableau._build(shape, tuple([entries[a:b] for a, b in shape._spans]))
 
 
-@lru_cache(maxsize=256)
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard fillings of ``shape`` with entries in 1..max_entry,
     in lexicographic order of the row-major entry vector."""
@@ -284,7 +271,6 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     return tuple(_tableau_from_entries(shape, e) for e in _iter_fillings(shape, max_entry, max_entry))
 
 
-@lru_cache(maxsize=256)
 def enumerate_glmn(shape: SkewShape, m: int, n: int) -> tuple[Tableau, ...]:
     """All two-family semistandard fillings of ``shape`` over the (m, n) alphabet.
 

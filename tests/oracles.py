@@ -3,7 +3,8 @@
 Everything here is written straight from the defining conditions as
 filter-the-universe searches, sharing no logic with the package enumerators
 (only the plain data containers), so agreement between the two routes is
-evidence, not tautology.
+evidence, not tautology. The one composite, ``companion_tableau_via_pictures``,
+reaches ``companion_tableau``'s answer through three other library maps.
 """
 
 import random
@@ -11,6 +12,8 @@ from collections import Counter
 from itertools import permutations, product
 
 from lrpictures.diagram import SkewShape
+from lrpictures.lr import picture_to_tableau, tableau_to_picture
+from lrpictures.picture import omega
 
 
 def _neighbors(shape, cell):
@@ -231,6 +234,12 @@ def tensor_raise(word, i):
         return None if eu is None else eu + v
     ev = tensor_raise(v, i)
     return None if ev is None else u + ev
+
+
+def companion_tableau_via_pictures(q):
+    """``companion_tableau`` as the composite swap over the empty base:
+    tableau -> picture -> swap -> tableau."""
+    return picture_to_tableau(omega(tableau_to_picture(q, base=())))
 
 
 def filling_of(tableau):

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import filling_of, glmn_lr_oracle, glr_lr_oracle, p_index_oracle
+from oracles import (
+    companion_tableau_via_pictures,
+    filling_of,
+    glmn_lr_oracle,
+    glr_lr_oracle,
+    p_index_oracle,
+)
 from lrpictures.diagram import SkewShape, partition_contains, partitions_of
 from lrpictures.lr import (
     LRCoefficient,
     companion_tableau,
-    companion_tableau_via_pictures,
     glmn_lr_tableaux,
     glr_lr_tableaux,
     is_glmn_lr_tableau,
