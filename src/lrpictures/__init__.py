@@ -3,10 +3,11 @@
 The package enumerates two families of Littlewood-Richardson tableaux (the
 classical one on the shape W, and the two-family one on the skew shape Z/Y,
 whose members hold plain letters; gl(m,n) enters only through the hook test
-in ``lr_coefficient``), enumerates admissible pictures between skew diagrams,
-and applies the explicit mutually inverse maps relating all of these. Everything is
-backed by exhaustive enumeration, so each identity the library claims can be
-checked on concrete shapes via :mod:`lrpictures.sweeps` or the CLI.
+in ``lr_coefficient``), enumerates admissible pictures between skew
+diagrams, and applies the explicit mutually inverse maps relating all of
+these. Everything is backed by exhaustive enumeration, so each identity the
+library claims can be checked on concrete shapes via
+:mod:`lrpictures.sweeps` or the CLI.
 """
 
 from .diagram import (

@@ -164,7 +164,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
         ready[i] = avail
         lo = perm[up[i]] + 1 if up[i] >= 0 else 0
         hi = perm[right[i]] if right[i] >= 0 else n
-        free[i] = avail & ((1 << hi) - 1) & -(1 << lo)  # ranks lo..hi-1; none when lo >= hi
+        free[i] = avail & ((1 << hi) - (1 << lo)) if lo < hi else 0  # ranks lo..hi-1
     return out
 
 
