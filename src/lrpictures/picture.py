@@ -189,8 +189,13 @@ def enumerate_pictures(
         return ()
     dom_cells, cod_cells = a_prime.cells, a.cells
     position = [a_prime._rank[c] for c in x.cells()]
-    found = [[cod_cells[c] for c in perm] for perm in _bijections(a, a_prime)]
-    found.sort(key=lambda images: [images[i] for i in position])  # cells sort row-major
-    return tuple(  # each a bijection: the pictures share the orders' cell tuples
-        Picture._build(x, y, dict(zip(dom_cells, images)), dict(zip(images, dom_cells))) for images in found
-    )
+    row_major = [0] * len(cod_cells)  # an image's rank in a -> its row-major index
+    for k, c in enumerate(y.cells()):
+        row_major[a._rank[c]] = k
+    perms = _bijections(a, a_prime)
+    perms.sort(key=lambda perm: [row_major[perm[i]] for i in position])
+    out = []
+    for perm in perms:  # each a bijection: the pictures share the orders' cell tuples
+        images = [cod_cells[c] for c in perm]
+        out.append(Picture._build(x, y, dict(zip(dom_cells, images)), dict(zip(images, dom_cells))))
+    return tuple(out)
