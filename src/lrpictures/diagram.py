@@ -82,7 +82,8 @@ class SkewShape:
         for i, row in enumerate(outer, start=1):
             lo = inner[i - 1] if i <= len(inner) else 0
             spans.append((len(cells), len(cells) + row - lo))
-            cells.extend((i, j) for j in range(lo + 1, row + 1))
+            for j in range(lo + 1, row + 1):
+                cells.append((i, j))
         self.size = len(cells)
         self._row_major = tuple(cells)
         self._spans = tuple(spans)

@@ -8,6 +8,7 @@ letter. The two-family alphabet is totally ordered as
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .diagram import Cell, SkewShape, _integers, as_partition
 
@@ -76,10 +77,7 @@ class Tableau:
 
     def items(self):
         """(cell, entry) pairs in row-major order."""
-        for i, row in enumerate(self.rows, start=1):
-            lo = self.shape.inner_width(i)
-            for k, e in enumerate(row):
-                yield (i, lo + k + 1), e
+        return zip(self.shape.cells(), chain.from_iterable(self.rows))
 
     @property
     def size(self) -> int:
