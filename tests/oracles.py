@@ -10,6 +10,7 @@ reaches ``companion_tableau``'s answer through three other library maps.
 import random
 from collections import Counter
 from itertools import permutations, product
+from math import factorial
 
 from lrpictures.diagram import SkewShape
 from lrpictures.lr import picture_to_tableau, tableau_to_picture
@@ -125,6 +126,18 @@ def pictures_oracle(x, y, a, a_prime):
         if standard_oracle(f, rank_a) and standard_oracle(inv, rank_ap):
             found.append(f)
     return found
+
+
+def syt_count_oracle(shape):
+    """f^λ, the number of standard tableaux of the partition ``shape`` (a tuple
+    of row lengths), by the hook-length formula n! / prod of the hook lengths."""
+    rows = [r for r in shape if r]
+    cols = [sum(1 for r in rows if r > j) for j in range(rows[0])] if rows else []
+    hooks = 1
+    for i, r in enumerate(rows):
+        for j in range(r):
+            hooks *= (r - j - 1) + (cols[j] - i - 1) + 1
+    return factorial(sum(rows)) // hooks
 
 
 def subdiagrams_oracle(z):

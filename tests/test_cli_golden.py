@@ -108,6 +108,21 @@ CASES = {
         None, 0,
         "acb2ad92c18853c481c2851f7908c6b72322c319deb703de9f7e81ea943e1184",
     ),
+    # 2,970 pictures onto a 12-cell staircase strip: the strip has no neighbour
+    # pairs, so the search runs from it and inverts what it finds
+    "enumerate pictures, onto a 12-cell strip": (
+        "enumerate pictures --domain 4,4,3,1"
+        " --codomain 12,11,10,9,8,7,6,5,4,3,2,1/11,10,9,8,7,6,5,4,3,2,1",
+        None, 0,
+        "b44a3632f6d10e1fd6effabc4b42b81bef73e2b92f87c1b59893638e89defc0d",
+    ),
+    # 768 pictures from a 10-cell strip: the search runs from the strip as it is
+    "enumerate pictures, from a 10-cell strip": (
+        "enumerate pictures --domain 10,9,8,7,6,5,4,3,2,1/9,8,7,6,5,4,3,2,1"
+        " --codomain 4,3,2,1 --order seed:5",
+        None, 0,
+        "a09745ca2cc7fe147a95effd6ef5c7c9b1dce63308bc2826affe5e24b239d1b2",
+    ),
 }
 
 

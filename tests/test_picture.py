@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import pictures_oracle, standard_oracle
+from oracles import pictures_oracle, standard_oracle, syt_count_oracle
 from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.picture import (
     Picture,
@@ -251,6 +251,30 @@ def test_omega_bijects_the_two_picture_sets(x, y):
     fwd = enumerate_pictures(x, y, middle_eastern(y), middle_eastern(x))
     back = enumerate_pictures(y, x, middle_eastern(x), middle_eastern(y))
     assert {omega(p) for p in fwd} == set(back)
+
+
+def _strip(n):
+    """The n-cell staircase strip (n, ..., 1)/(n - 1, ..., 1): an antichain."""
+    return SkewShape(tuple(range(n, 0, -1)), tuple(range(n - 1, 0, -1)))
+
+
+@pytest.mark.parametrize("rows, n", [((4, 3, 2, 1), 10), ((4, 4, 3, 1), 12)])
+def test_pictures_onto_a_strip_are_the_standard_tableaux(rows, n):
+    # a picture of a partition onto an antichain is a standard tableau of the
+    # partition, so there are f^λ of them: far more than the permutation
+    # filter in oracles.py can list.  Both directions, three seeded order pairs
+    x, strip = SkewShape(rows), _strip(n)
+    count = syt_count_oracle(rows)
+    for seed in (1, 4, 9):
+        a, a_prime = random_admissible_order(strip, seed), random_admissible_order(x, seed + 1)
+        fwd = enumerate_pictures(x, strip, a, a_prime)
+        back = enumerate_pictures(strip, x, a_prime, a)
+        for pics, dom, order, order2 in ((fwd, x, a, a_prime), (back, strip, a_prime, a)):
+            assert len(pics) == count
+            assert all(is_admissible_picture(p, order, order2) for p in pics)
+            keys = [tuple(p(c) for c in dom.cells()) for p in pics]
+            assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))  # sorted, so distinct
+        assert {omega(p) for p in fwd} == set(back)
 
 
 def test_search_on_a_row_of_6000_cells_keeps_no_table_of_cell_pairs():
