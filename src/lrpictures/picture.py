@@ -202,7 +202,7 @@ def enumerate_pictures(
         raise ValueError("a_prime is not an admissible order on the domain")
     if x.size != y.size:
         return ()
-    dom, cod = a_prime.cells, a.cells  # every picture shares these cell tuples
+    dom, cod = a_prime.cells, a.cells  # the pictures reuse the orders' cell tuples
     if _neighbour_pairs(a) < _neighbour_pairs(a_prime):
         found = [([dom[i] for i in q], cod) for q in _bijections(a_prime, a)]
     else:
