@@ -97,6 +97,20 @@ def test_shapes_and_tableaux_pickle_through_their_constructors():
     assert Tableau.__reduce__(t) == (Tableau, (t.shape, ((1, 1), (2,))))
 
 
+def test_searched_pictures_pickle_through_their_constructor():
+    # a dense search result, and one from the swapped search side
+    x, strip = SkewShape((3, 2, 1)), SkewShape((6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
+    onto = enumerate_pictures(x, strip, resolve_order("seed:1", strip), resolve_order("FE", x))
+    back = enumerate_pictures(strip, x, resolve_order("FE", x), resolve_order("seed:1", strip))
+    assert len(onto) == len(back) == 16
+    for p in onto + back:
+        hash(p)  # stored before pickling: the copy must not carry it over
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy is not p and copy == p and hash(copy) == hash(p)
+        assert copy.forward == p.forward and copy.backward == p.backward
+        assert Picture.__reduce__(p) == (Picture, (p.domain, p.codomain, p.forward))
+
+
 def test_trailing_zeros_make_the_same_shape():
     s = SkewShape((2, 1, 0))
     assert s == SkewShape((2, 1)) and hash(s) == hash(SkewShape((2, 1)))

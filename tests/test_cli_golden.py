@@ -5,8 +5,8 @@ across releases as well as across runs.  Each case runs one command in
 process through ``cli.run`` and compares the exit code and the sha256 of
 everything it wrote to stdout with the values recorded for it.  Together the
 cases cover every ``enumerate`` family, every order kind (ME, FE,
-``seed:<n>``, ``@file``), ``coeff``, a map fed on stdin and seven ``verify``
-sweeps.  A case whose output is meant to change gets its digest re-recorded
+``seed:<n>``, ``@file``), ``coeff``, three maps and two picture drawings fed
+on stdin and seven ``verify`` sweeps.  A case whose output is meant to change gets its digest re-recorded
 in the same change, with the reason.
 """
 
@@ -23,6 +23,15 @@ ORDER_FILE = [[1, 3], [1, 2], [2, 3], [2, 2], [1, 1], [2, 1]]
 
 # a two-family LR tableau of y=(2,1), w=(2,1), z=(3,2,1), as `enumerate lr` prints it
 LR_MEMBER = '{"shape":{"outer":[3,2,1],"inner":[2,1]},"rows":[[1],[1],[2]]}\n'
+
+# the first line of `enumerate pictures --domain 3,3 --codomain 4,3,2/2,1 --order seed:1`
+PICTURE = (
+    '{"domain":{"outer":[3,3],"inner":[]},"codomain":{"outer":[4,3,2],"inner":[2,1]},'
+    '"map":[[[1,1],[1,4]],[[1,2],[1,3]],[[1,3],[2,2]],[[2,1],[2,3]],[[2,2],[3,2]],[[2,3],[3,1]]]}\n'
+)
+
+# a classical LR tableau of y=(2,1), w=(3,3), z=(4,3,2)
+GLR_MEMBER = '{"shape":{"outer":[3,3],"inner":[]},"rows":[[1,1,2],[2,3,3]]}\n'
 
 # (command, stdin, exit code, sha256 of stdout)
 CASES = {
@@ -64,6 +73,23 @@ CASES = {
         "enumerate pictures --domain 3,3 --codomain 4,3,2/2,1 --order seed:1 --order2 @{order}",
         None, 0,
         "cff87f7d724afceb4f936d642d754c300979ef948539299b7db28b32372c29b3",
+    ),
+    "map omega on stdin": (
+        "map omega --input -", PICTURE, 0,
+        "1fa785cce6f0ab5257d96d34fbfa3527b93ac81ebf7972864a28d496f83a37f1",
+    ),
+    # psi sends the member to the picture above, so the two print the same line
+    "map psi on stdin": (
+        "map psi --y 2,1 --input -", GLR_MEMBER, 0,
+        "cff87f7d724afceb4f936d642d754c300979ef948539299b7db28b32372c29b3",
+    ),
+    "render a picture": (
+        "render --input -", PICTURE, 0,
+        "7b4f35d46905c4750a5ef2eea98d05cd42da6a85308c7e4c73f643a61bbd18f1",
+    ),
+    "render a picture, unicode": (
+        "render --input - --render unicode", PICTURE, 0,
+        "9dc6e8604acab31eddb40b53f0a884234c2a1497fa8938d31880d99d71aef9f0",
     ),
     "coeff": (
         "coeff --y 2,1 --w 2,1 --z 3,2,1 --m 2 --n 2", None, 0,

@@ -1,3 +1,4 @@
+import json
 import pickle
 import tracemalloc
 from itertools import permutations
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import pictures_oracle, standard_oracle, syt_count_oracle
+from lrpictures import picture, serialize
 from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.picture import (
     Picture,
@@ -289,3 +291,80 @@ def test_search_on_a_row_of_6000_cells_keeps_no_table_of_cell_pairs():
         tracemalloc.stop()
     assert len(pictures) == 1
     assert held < 5 * 2**20
+
+
+def _one_cell_shapes():
+    return [SkewShape((1,)), SkewShape((2,), (1,)), SkewShape((1, 1), (1,)), SkewShape((3, 2), (2, 2))]
+
+
+def test_pictures_of_empty_and_one_cell_shapes():
+    empty = SkewShape(())
+    for x, y in ((empty, empty), (empty, SkewShape((1,))), (SkewShape((1,)), empty)):
+        for a, a_prime in ((middle_eastern(y), middle_eastern(x)), (far_eastern(y), far_eastern(x))):
+            pics = enumerate_pictures(x, y, a, a_prime)
+            assert len(pics) == (x.size == y.size)
+            assert all(p.forward == {} and p.backward == {} and omega(p) == p for p in pics)
+    # one cell onto one cell, both directions: the one map, whatever the orders
+    for x in _one_cell_shapes():
+        for y in _one_cell_shapes():
+            (u,), (v,) = x.cells(), y.cells()
+            for make in (middle_eastern, far_eastern, lambda s: random_admissible_order(s, 3)):
+                (p,) = enumerate_pictures(x, y, make(y), make(x))
+                assert p.forward == {u: v} and p.backward == {v: u} and p(u) == v
+                assert p == Picture(x, y, {u: v}) and omega(p) == Picture(y, x, {v: u})
+    x, y = SkewShape((1,)), SkewShape((2,), (1,))
+    (p,) = enumerate_pictures(x, y, middle_eastern(y), middle_eastern(x))
+    assert json.dumps(serialize.picture_to_obj(p), separators=(",", ":")) == (
+        '{"domain":{"outer":[1],"inner":[]},"codomain":{"outer":[2],"inner":[1]},'
+        '"map":[[[1,1],[1,2]]]}'
+    )
+
+
+def test_two_cell_pictures_from_both_search_sides(monkeypatch):
+    # a row has one neighbour pair and the 2-cell strip none, so the search
+    # runs from the strip in both directions: as it is from the strip, turned
+    # round onto it
+    row, strip = SkewShape((2,)), SkewShape((2, 1), (1,))
+    searched = []
+    search = picture._bijections
+
+    def spy(a, a_prime):
+        searched.append(a_prime.cells)
+        return search(a, a_prime)
+
+    monkeypatch.setattr(picture, "_bijections", spy)
+    a_row, a_strip = middle_eastern(row), middle_eastern(strip)
+    onto = enumerate_pictures(row, strip, a_strip, a_row)
+    back = enumerate_pictures(strip, row, a_row, a_strip)
+    assert searched == [a_strip.cells, a_strip.cells]
+    assert [p.forward for p in onto] == pictures_oracle(row, strip, a_strip, a_row)
+    assert [p.forward for p in back] == pictures_oracle(strip, row, a_row, a_strip)
+    assert len(onto) == len(back) == 1 and {omega(p) for p in onto} == set(back)
+
+
+def test_omega_and_serialize_round_trip_every_small_picture():
+    # every picture between equal-size shapes of up to four cells in a 3x3
+    # box, under ME, FE and one seeded order pair
+    shapes = {}
+    for outer in partitions_up_to(9, 3, 3):
+        for inner in subdiagrams(outer):
+            s = SkewShape(outer, inner)
+            if 0 < s.size <= 4:
+                shapes.setdefault(s.cells(), s)
+    seen = 0
+    for x in shapes.values():
+        for y in shapes.values():
+            if x.size != y.size:
+                continue
+            for make in (middle_eastern, far_eastern, lambda s: random_admissible_order(s, 6)):
+                for p in enumerate_pictures(x, y, make(y), make(x)):
+                    q = omega(p)
+                    assert q.domain == y and q.codomain == x
+                    assert q.forward == p.backward and q.backward == p.forward
+                    assert omega(q) == p and hash(omega(q)) == hash(p)
+                    obj = json.loads(json.dumps(serialize.picture_to_obj(p)))
+                    back = serialize.picture_from_obj(obj)
+                    assert back == p and hash(back) == hash(p)
+                    assert serialize.picture_to_obj(back) == obj
+                    seen += 1
+    assert seen > 1000
