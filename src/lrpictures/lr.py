@@ -20,6 +20,7 @@ from .picture import Picture, is_admissible_picture
 from .reading import (
     AdmissibleOrder,
     _neighbours,
+    _row_major_ranks,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
@@ -111,7 +112,7 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
         return ()
     n = len(order)
     up, right = _neighbours(order)
-    row_major = [order._rank[c] for c in shape.cells()]
+    row_major = _row_major_ranks(order)
     rows = list(y) + [0] * (len(z) - len(y))
     e = [0] * n
     found = []
@@ -151,7 +152,7 @@ def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:
     is a filling of the domain shape whose reading grows the codomain's inner
     shape into its outer shape.
     """
-    t = _tableau_from_entries(p.domain, [p.forward[cell][0] for cell in p.domain.cells()])
+    t = _tableau_from_entries(p.domain, [i for i, _ in p.images])
     if verify:
         if not is_glr_lr_tableau(t, p.codomain.inner, p.codomain.outer):
             raise ValueError("picture_to_tableau output is not an LR member for the codomain")
@@ -175,12 +176,11 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
     # letter e's cells take distinct p-indices 1..(count of e), as
     # _p_indices refuses column repeats, so they fill row e of outer/base
     # exactly once: the map is a bijection by construction
-    forward, backward = {}, {}
-    for (cell, e), k in zip(t.items(), _p_indices(t, t.cells())):
-        image = (e, (base[e - 1] if e <= len(base) else 0) + k)
-        forward[cell] = image
-        backward[image] = cell
-    p = Picture._build(t.shape, _skew(outer, base), forward, backward)
+    images = tuple(
+        (e, (base[e - 1] if e <= len(base) else 0) + k)
+        for (_, e), k in zip(t.items(), _p_indices(t, t.cells()))
+    )
+    p = Picture._build(t.shape, _skew(outer, base), images)
     if verify:
         for make in (middle_eastern, far_eastern):
             if not is_admissible_picture(p, make(p.codomain), make(t.shape)):

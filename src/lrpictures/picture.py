@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .diagram import Cell, SkewShape, _integers
-from .reading import AdmissibleOrder, _neighbours, is_admissible
+from .reading import AdmissibleOrder, _neighbours, _row_major_ranks, is_admissible
 
 
 class Picture:
@@ -20,34 +20,43 @@ class Picture:
 
     ``Picture(domain, codomain, forward)`` checks: the cells must be integer
     pairs, the keys of ``forward`` exactly the domain cells, and its values
-    the codomain cells, each once. ``Picture._build`` only builds, from a
-    forward map and its inverse that the library made as a bijection itself;
-    the constructor ends in it, so every picture stores the same fields:
-    ``domain``, ``codomain``, ``forward``, ``backward`` and a hash slot,
-    filled on first use as most pictures are never hashed. Pictures are
-    values: nothing changes them or their dicts after they are built.
+    the codomain cells, each once. ``Picture._build`` only builds, from an
+    image tuple that the library made as a bijection itself; the constructor
+    ends in it, so every picture stores the same fields: ``domain``,
+    ``codomain``, ``images``, the image of each domain cell in row-major
+    domain order, and a hash slot, filled on first use as most pictures are
+    never hashed. ``forward`` and ``backward``, the map and its inverse as
+    dicts, are built from ``images`` each time they are read. Pictures are
+    values: nothing changes them after they are built.
     """
 
-    __slots__ = ("domain", "codomain", "forward", "backward", "_hash")
+    __slots__ = ("domain", "codomain", "images", "_hash")
 
     def __new__(cls, domain: SkewShape, codomain: SkewShape, forward):
         forward = {_integers(u): _integers(v) for u, v in dict(forward).items()}
         if set(forward) != set(domain.cells()):
             raise ValueError("map keys differ from the domain cells")
-        backward = {v: k for k, v in forward.items()}
-        if len(backward) != len(forward) or set(backward) != set(codomain.cells()):
+        images = tuple([forward[u] for u in domain.cells()])
+        if len(set(images)) != len(images) or set(images) != set(codomain.cells()):
             raise ValueError("map values must cover the codomain cells exactly once")
-        return cls._build(domain, codomain, forward, backward)
+        return cls._build(domain, codomain, images)
 
     @classmethod
-    def _build(cls, domain: SkewShape, codomain: SkewShape, forward: dict, backward: dict) -> Picture:
+    def _build(cls, domain: SkewShape, codomain: SkewShape, images: tuple) -> Picture:
         self = object.__new__(cls)
         self.domain = domain
         self.codomain = codomain
-        self.forward = forward
-        self.backward = backward
+        self.images = images
         self._hash = None
         return self
+
+    @property
+    def forward(self) -> dict:
+        return dict(zip(self.domain.cells(), self.images))
+
+    @property
+    def backward(self) -> dict:
+        return dict(zip(self.images, self.domain.cells()))
 
     def __call__(self, cell: Cell) -> Cell:
         return self.forward[cell]
@@ -57,25 +66,26 @@ class Picture:
             isinstance(other, Picture)
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and self.forward == other.forward
+            and self.images == other.images
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.domain, self.codomain, frozenset(self.forward.items())))
+            self._hash = hash((self.domain, self.codomain, self.images))
         return self._hash
 
     def __reduce__(self):  # rebuilt, not copied: a stored hash never crosses processes
         return Picture, (self.domain, self.codomain, self.forward)
 
     def __repr__(self):
-        pairs = ", ".join(f"{u}->{v}" for u, v in sorted(self.forward.items()))
+        pairs = ", ".join(f"{u}->{v}" for u, v in zip(self.domain.cells(), self.images))
         return f"Picture({pairs})"
 
 
 def omega(p: Picture) -> Picture:
     """Swap a picture for its inverse."""
-    return Picture._build(p.codomain, p.domain, p.backward, p.forward)
+    backward = p.backward
+    return Picture._build(p.codomain, p.domain, tuple([backward[v] for v in p.codomain.cells()]))
 
 
 def is_pa_standard(mapping, target: AdmissibleOrder) -> bool:
@@ -195,6 +205,11 @@ def enumerate_pictures(
     Onto an antichain, which has no pairs, that takes about a quarter of the
     tries.  The search's tables are cached per order, so an order that recurs,
     as a sweep's orders do, is set up once.
+
+    Each result becomes its picture's image tuple straight away, read through
+    the domain cells' row-major positions in ``a_prime``.  The sort runs on
+    those plain tuples, as cells order as their row-major indices, and the
+    pictures are built last; no dict is made per picture.
     """
     if not is_admissible(a, y):
         raise ValueError("a is not an admissible order on the codomain")
@@ -202,13 +217,13 @@ def enumerate_pictures(
         raise ValueError("a_prime is not an admissible order on the domain")
     if x.size != y.size:
         return ()
-    dom, cod = a_prime.cells, a.cells  # the pictures reuse the orders' cell tuples
+    cod = a.cells  # the pictures reuse the codomain order's cell tuple
+    at = _row_major_ranks(a_prime)  # the domain cells' positions in a_prime, row-major
     if _neighbour_pairs(a) < _neighbour_pairs(a_prime):
-        found = [([dom[i] for i in q], cod) for q in _bijections(a_prime, a)]
+        # x has a neighbour pair, so two cells at least: get returns a tuple
+        get = itemgetter(*at)
+        found = [get(dict(zip(q, cod))) for q in _bijections(a_prime, a)]
     else:
-        found = [(dom, [cod[c] for c in perm]) for perm in _bijections(a, a_prime)]
-    out = [Picture._build(x, y, dict(zip(src, dst)), dict(zip(dst, src))) for src, dst in found]
-    if len(out) > 1:  # cell tuples order as their row-major indices
-        images = itemgetter(*x.cells())
-        out.sort(key=lambda p: images(p.forward))
-    return tuple(out)
+        found = [tuple([cod[perm[k]] for k in at]) for perm in _bijections(a, a_prime)]
+    found.sort()  # cell tuples order as their row-major indices
+    return tuple([Picture._build(x, y, images) for images in found])

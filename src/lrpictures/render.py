@@ -48,6 +48,6 @@ def render_picture(p: Picture, style: str = "ascii") -> str:
     lines = ["domain:", _grid(p.domain, lambda i, j: "", style == "unicode")]
     lines += ["codomain:", _grid(p.codomain, lambda i, j: "", style == "unicode")]
     lines.append("map:")
-    for u, v in sorted(p.forward.items()):
+    for u, v in zip(p.domain.cells(), p.images):  # row-major: sorted
         lines.append(f"  ({u[0]},{u[1]}){arrow}({v[0]},{v[1]})")
     return "\n".join(lines)

@@ -66,7 +66,7 @@ def picture_to_obj(p: Picture) -> dict:
     return {
         "domain": shape_to_obj(p.domain),
         "codomain": shape_to_obj(p.codomain),
-        "map": [[list(u), list(p.forward[u])] for u in p.domain.cells()],  # row-major: sorted
+        "map": [[list(u), list(v)] for u, v in zip(p.domain.cells(), p.images)],  # row-major: sorted
     }
 
 
