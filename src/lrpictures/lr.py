@@ -20,7 +20,6 @@ from .picture import Picture, is_admissible_picture
 from .reading import (
     AdmissibleOrder,
     _neighbours,
-    _row_major_ranks,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
@@ -112,7 +111,7 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
         return ()
     n = len(order)
     up, right = _neighbours(order)
-    row_major = _row_major_ranks(order)
+    row_major = [order._rank[c] for c in shape.cells()]
     rows = list(y) + [0] * (len(z) - len(y))
     e = [0] * n
     found = []

@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .diagram import Cell, SkewShape, _integers
-from .reading import AdmissibleOrder, _neighbours, _row_major_ranks, is_admissible
+from .reading import AdmissibleOrder, _neighbours, is_admissible
 
 
 class Picture:
@@ -120,6 +120,12 @@ def _codomain_tables(a: AdmissibleOrder):
     preds = tuple(sum(1 << rank[v] for v in ((i, j - 1), (i - 1, j)) if v in rank) for i, j in a.cells)
     succs = tuple(tuple(rank[v] for v in ((i, j + 1), (i + 1, j)) if v in rank) for i, j in a.cells)
     return preds, succs, sum(1 << c for c, p in enumerate(preds) if not p)
+
+
+@lru_cache(maxsize=1 << 12)
+def _row_major_ranks(order: AdmissibleOrder) -> tuple[int, ...]:
+    """The rank in ``order`` of each of its cells, taken in row-major order."""
+    return tuple(order._rank[c] for c in order._row_major)
 
 
 def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:

@@ -115,12 +115,6 @@ def _neighbours(order: AdmissibleOrder) -> tuple[tuple[int, ...], tuple[int, ...
     return up, right
 
 
-@lru_cache(maxsize=1 << 12)
-def _row_major_ranks(order: AdmissibleOrder) -> tuple[int, ...]:
-    """The rank in ``order`` of each of its cells, taken in row-major order."""
-    return tuple(order._rank[c] for c in order._row_major)
-
-
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     """The entries of ``t`` listed in ``order``."""
     if not is_admissible(order, t.shape):
