@@ -293,24 +293,21 @@ def test_search_on_a_row_of_6000_cells_keeps_no_table_of_cell_pairs():
     assert held < 5 * 2**20
 
 
-def _one_cell_shapes():
-    return [SkewShape((1,)), SkewShape((2,), (1,)), SkewShape((1, 1), (1,)), SkewShape((3, 2), (2, 2))]
-
-
 def test_pictures_of_empty_and_one_cell_shapes():
     empty = SkewShape(())
     for x, y in ((empty, empty), (empty, SkewShape((1,))), (SkewShape((1,)), empty)):
         for a, a_prime in ((middle_eastern(y), middle_eastern(x)), (far_eastern(y), far_eastern(x))):
             pics = enumerate_pictures(x, y, a, a_prime)
             assert len(pics) == (x.size == y.size)
-            assert all(p.forward == {} and p.backward == {} and omega(p) == p for p in pics)
+            assert all(p.images == () and p.forward == p.backward == {} and omega(p) == p for p in pics)
     # one cell onto one cell, both directions: the one map, whatever the orders
-    for x in _one_cell_shapes():
-        for y in _one_cell_shapes():
+    ones = [SkewShape((1,)), SkewShape((2,), (1,)), SkewShape((1, 1), (1,)), SkewShape((3, 2), (2, 2))]
+    for x in ones:
+        for y in ones:
             (u,), (v,) = x.cells(), y.cells()
             for make in (middle_eastern, far_eastern, lambda s: random_admissible_order(s, 3)):
                 (p,) = enumerate_pictures(x, y, make(y), make(x))
-                assert p.forward == {u: v} and p.backward == {v: u} and p(u) == v
+                assert p.images == (v,) and p.forward == {u: v} and p.backward == {v: u} and p(u) == v
                 assert p == Picture(x, y, {u: v}) and omega(p) == Picture(y, x, {v: u})
     x, y = SkewShape((1,)), SkewShape((2,), (1,))
     (p,) = enumerate_pictures(x, y, middle_eastern(y), middle_eastern(x))
