@@ -116,7 +116,7 @@ class DecompositionReport:
 
 
 def _reading_words(shape: SkewShape, max_entry: int, order) -> list[tuple[int, ...]]:
-    read = _reader(shape, order)
+    read = _reader(order)
     return [read(e) for e in _fillings(shape, max_entry, max_entry)]
 
 

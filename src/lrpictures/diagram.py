@@ -157,7 +157,7 @@ def _add_boxes(y: Partition, word) -> Partition | None:
 
 def add_box(y, j: int) -> Partition | None:
     """Append one box to row ``j`` of ``y``; None when the result is not a partition."""
-    return _add_boxes(y, (j,))
+    return add_boxes(y, (j,))
 
 
 def add_boxes(y, word) -> Partition | None:

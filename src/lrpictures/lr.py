@@ -19,7 +19,6 @@ from .diagram import SkewShape, _add_boxes, _skew, as_partition, is_hook, partit
 from .picture import Picture, is_admissible_picture
 from .reading import (
     AdmissibleOrder,
-    _neighbours,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
@@ -103,22 +102,21 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
     by row-major entry vector.
 
     A depth-first loop fills the cells along ``order``, which puts a cell's
-    right and upper neighbours first: they bound its entry from above and
-    below. Letter v is tried only if a box in row v keeps the grown diagram a
-    partition inside ``z``.
+    right and upper neighbours (``order._right``, ``order._up``) first: they
+    bound its entry from above and below. Letter v is tried only if a box in
+    row v keeps the grown diagram a partition inside ``z``.
     """
     if shape.size + sum(y) != sum(z) or not partition_contains(z, y):
         return ()
     n = len(order)
-    up, right = _neighbours(order)
-    row_major = [order._rank[c] for c in shape.cells()]
+    up, right, at = order._up, order._right, order._at
     rows = list(y) + [0] * (len(z) - len(y))
     e = [0] * n
     found = []
     k, v = 0, 1
     while True:
         if k == n:
-            found.append(tuple(e[p] for p in row_major))
+            found.append(tuple([e[p] for p in at]))
         else:
             hi = e[right[k]] if right[k] >= 0 else top
             while v <= hi and (rows[v - 1] == z[v - 1] or (v > 1 and rows[v - 2] == rows[v - 1])):

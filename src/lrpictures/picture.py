@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .diagram import Cell, SkewShape, _integers
-from .reading import AdmissibleOrder, _neighbours, is_admissible
+from .reading import AdmissibleOrder, is_admissible
 
 
 class Picture:
@@ -115,17 +115,16 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
 def _codomain_tables(a: AdmissibleOrder):
     """Over ``a``'s cells, each named by its rank in ``a``: bitsets ``preds`` of
     the left and upper neighbours, ranks ``succs`` of the right and lower ones,
-    and the bitset of the cells with neither."""
-    rank = a._rank
-    preds = tuple(sum(1 << rank[v] for v in ((i, j - 1), (i - 1, j)) if v in rank) for i, j in a.cells)
-    succs = tuple(tuple(rank[v] for v in ((i, j + 1), (i + 1, j)) if v in rank) for i, j in a.cells)
-    return preds, succs, sum(1 << c for c, p in enumerate(preds) if not p)
-
-
-@lru_cache(maxsize=1 << 12)
-def _row_major_ranks(order: AdmissibleOrder) -> tuple[int, ...]:
-    """The rank in ``order`` of each of its cells, taken in row-major order."""
-    return tuple(order._rank[c] for c in order._row_major)
+    and the bitset of the cells with neither, read off ``a``'s neighbour ranks."""
+    preds, succs = [0] * len(a), [[] for _ in a.cells]
+    for c, (u, r) in enumerate(zip(a._up, a._right)):
+        if u >= 0:  # u lies above c
+            preds[c] |= 1 << u
+            succs[u].append(c)
+        if r >= 0:  # r lies right of c
+            preds[r] |= 1 << c
+            succs[c].append(r)
+    return tuple(preds), tuple(map(tuple, succs)), sum(1 << c for c, p in enumerate(preds) if not p)
 
 
 def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:
@@ -133,8 +132,8 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
     shapes, that respect both orders, found by a depth-first loop.
 
     Position i is the cell u = ``a_prime.cells[i]``; its image is a rank c in
-    ``a``, naming ``a.cells[c]``.  The loop reads tables built once per order
-    (``_neighbours``, ``_codomain_tables``).  c survives when:
+    ``a``, naming ``a.cells[c]``.  The loop reads ``a_prime``'s neighbour
+    positions (``_up``, ``_right``) and ``_codomain_tables(a)``.  c survives when:
 
     * componentwise-comparable domain cells map to order-compatible ranks.
       The earlier cells already do, so the images of u's upper and right
@@ -149,7 +148,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
     n = len(a)
     if n == 0:
         return [()]
-    up, right = _neighbours(a_prime)
+    up, right = a_prime._up, a_prime._right
     preds, succs, roots = _codomain_tables(a)
     perm = [0] * n
     # at position i: candidates not tried yet, images so far, cells that qualify
@@ -188,8 +187,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
 def _neighbour_pairs(order: AdmissibleOrder) -> int:
     """The number of cells of ``order`` with an upper neighbour plus the number
     with a right one: the pairs that bound a rank window in ``_bijections``."""
-    up, right = _neighbours(order)
-    return 2 * len(up) - up.count(-1) - right.count(-1)
+    return 2 * len(order) - order._up.count(-1) - order._right.count(-1)
 
 
 def enumerate_pictures(
@@ -209,8 +207,9 @@ def enumerate_pictures(
     from whichever shape has fewer neighbour pairs, from ``x`` on a tie; run
     from ``y``, it finds the inverses of the pictures, which are turned round.
     Onto an antichain, which has no pairs, that takes about a quarter of the
-    tries.  The search's tables are cached per order, so an order that recurs,
-    as a sweep's orders do, is set up once.
+    tries.  Each order lays out its neighbour and row-major positions when it
+    is built, and the codomain tables are cached per order, so an order that
+    recurs, as a sweep's orders do, is set up once.
 
     Each result becomes its picture's image tuple straight away, read through
     the domain cells' row-major positions in ``a_prime``.  The sort runs on
@@ -224,7 +223,7 @@ def enumerate_pictures(
     if x.size != y.size:
         return ()
     cod = a.cells  # the pictures reuse the codomain order's cell tuple
-    at = _row_major_ranks(a_prime)  # the domain cells' positions in a_prime, row-major
+    at = a_prime._at  # the domain cells' positions in a_prime, row-major
     if _neighbour_pairs(a) < _neighbour_pairs(a_prime):
         # x has a neighbour pair, so two cells at least: get returns a tuple
         get = itemgetter(*at)

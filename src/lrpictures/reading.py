@@ -5,13 +5,16 @@ another (row at most, column at least) comes first. The two classical examples
 scan rows top to bottom reading each right to left, and columns right to left
 reading each top to bottom. An ``AdmissibleOrder`` is checked once, when it
 is built (the constructors below are memoized), and ``is_admissible`` only
-asks whether it lists the cells of a given shape.
+asks whether it lists the cells of a given shape. When it is built, an order
+also lays out its neighbour and row-major positions, which the searches and
+the reading word walk; no other module derives them from the cells.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .diagram import Cell, SkewShape, _integers
@@ -20,9 +23,11 @@ from .tableau import Tableau
 
 class AdmissibleOrder:
     """An admissible order on a finite cell set, stored as the explicit sequence;
-    building one from a sequence that is not admissible raises ValueError."""
+    building one from a sequence that is not admissible raises ValueError.
+    Per position, ``_up`` and ``_right`` hold the positions of the upper and
+    right neighbours (-1 if absent); ``_at`` holds each row-major cell's position."""
 
-    __slots__ = ("cells", "_rank", "_row_major", "_hash")
+    __slots__ = ("cells", "_rank", "_row_major", "_up", "_right", "_at", "_hash")
 
     def __init__(self, cells):
         cells = tuple(_integers((i, j)) for i, j in cells)
@@ -36,8 +41,11 @@ class AdmissibleOrder:
                     raise ValueError(f"order is not admissible: {(row, col)} must come before {(i, j)}")
             rightmost[i] = j  # the later cells of row i all lie left of column j
         self.cells = cells
-        self._rank = {c: k for k, c in enumerate(cells)}
+        self._rank = rank = {c: k for k, c in enumerate(cells)}
         self._row_major = tuple(sorted(cells))
+        self._up = tuple([rank.get((i - 1, j), -1) for i, j in cells])
+        self._right = tuple([rank.get((i, j + 1), -1) for i, j in cells])
+        self._at = tuple([rank[c] for c in self._row_major])
         self._hash = hash(cells)  # orders key the search caches, so hash them once
 
     def rank(self, cell: Cell) -> int:
@@ -105,27 +113,18 @@ def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
     return AdmissibleOrder(out)
 
 
-@lru_cache(maxsize=1 << 12)
-def _neighbours(order: AdmissibleOrder) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per position of ``order``, the positions of its cell's upper and right
-    neighbours (-1 if absent), which come first, lying weakly northeast."""
-    rank = order._rank
-    up = tuple(rank.get((i - 1, j), -1) for i, j in order.cells)
-    right = tuple(rank.get((i, j + 1), -1) for i, j in order.cells)
-    return up, right
-
-
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     """The entries of ``t`` listed in ``order``."""
     if not is_admissible(order, t.shape):
         raise ValueError("order does not cover the cells of the tableau")
-    return tuple(t.entry(i, j) for (i, j) in order.cells)
+    return _reader(order)(tuple(chain.from_iterable(t.rows)))
 
 
-def _reader(shape: SkewShape, order: AdmissibleOrder):
-    """A function taking a row-major entry vector of ``shape`` to its reading word in ``order``."""
-    index = {c: k for k, c in enumerate(shape.cells())}
-    picks = [index[c] for c in order.cells]
+def _reader(order: AdmissibleOrder):
+    """A function taking a row-major entry vector of ``order``'s cells to its reading word."""
+    picks = [0] * len(order)  # per position, the row-major index of its cell
+    for r, k in enumerate(order._at):
+        picks[k] = r
     if len(picks) < 2:  # itemgetter returns a bare item for one index
         return lambda entries: tuple(entries[k] for k in picks)
     return itemgetter(*picks)

@@ -70,6 +70,9 @@ class Tableau:
         return self
 
     def entry(self, i: int, j: int) -> int:
+        """The entry in cell (i, j); ValueError for a cell outside the shape."""
+        if (i, j) not in self.shape:
+            raise ValueError(f"{(i, j)} is not a cell of {self.shape}")
         return self.rows[i - 1][j - self.shape.inner_width(i) - 1]
 
     def cells(self) -> tuple[Cell, ...]:

@@ -5,9 +5,10 @@ across releases as well as across runs.  Each case runs one command in
 process through ``cli.run`` and compares the exit code and the sha256 of
 everything it wrote to stdout with the values recorded for it.  Together the
 cases cover every ``enumerate`` family, every order kind (ME, FE,
-``seed:<n>``, ``@file``), ``coeff``, three maps and two picture drawings fed
-on stdin and seven ``verify`` sweeps.  A case whose output is meant to change gets its digest re-recorded
-in the same change, with the reason.
+``seed:<n>``, ``@file``), ``coeff``, five maps and four drawings (of a
+picture, a tableau and a shape) fed on stdin and seven ``verify`` sweeps.
+A case whose output is meant to change gets its digest re-recorded in the
+same change, with the reason.
 """
 
 import hashlib
@@ -32,6 +33,12 @@ PICTURE = (
 
 # a classical LR tableau of y=(2,1), w=(3,3), z=(4,3,2)
 GLR_MEMBER = '{"shape":{"outer":[3,3],"inner":[]},"rows":[[1,1,2],[2,3,3]]}\n'
+
+# `map psitilde` of LR_MEMBER: a picture from its shape (3,2,1)/(2,1) onto w = (2,1)
+PSITILDE = (
+    '{"domain":{"outer":[3,2,1],"inner":[2,1]},"codomain":{"outer":[2,1],"inner":[]},'
+    '"map":[[[1,3],[1,1]],[[2,2],[1,2]],[[3,1],[2,1]]]}\n'
+)
 
 # (command, stdin, exit code, sha256 of stdout)
 CASES = {
@@ -90,6 +97,24 @@ CASES = {
     "render a picture, unicode": (
         "render --input - --render unicode", PICTURE, 0,
         "9dc6e8604acab31eddb40b53f0a884234c2a1497fa8938d31880d99d71aef9f0",
+    ),
+    "map psitilde on stdin": (
+        "map psitilde --input -", LR_MEMBER, 0,
+        "d6e1d9191ddfb36b86f9c75169353c84e52697c2ea1e5ba07bba3c57b5293635",
+    ),
+    # phitilde takes the picture above back to LR_MEMBER
+    "map phitilde on stdin": (
+        "map phitilde --input -", PSITILDE, 0,
+        "daad6c180ffeb13d627aaeeaaf6b72aa2d3e376477fbdace6cda212554053ba7",
+    ),
+    # a skew tableau: the cells of the inner shape are drawn blank
+    "render a tableau": (
+        "render --input -", LR_MEMBER, 0,
+        "875819df343dac03117979b45f443fc71ad96e45d40fdee26514ab7aed3ff2f3",
+    ),
+    "render a skew shape object": (
+        "render --input -", '{"outer":[3,2,1],"inner":[2,1]}', 0,
+        "85145d823f3bd7ffa67d25ae0463703d884dda7c06211c8934012e8c16ab5079",
     ),
     "coeff": (
         "coeff --y 2,1 --w 2,1 --z 3,2,1 --m 2 --n 2", None, 0,

@@ -105,6 +105,12 @@ def test_add_box():
     assert add_box((2, 1), 3) == (2, 1, 1)
     assert add_box((2, 1), 4) is None
     assert add_box((2, 1), 0) is None
+    # add_box canonicalizes and checks its input as add_boxes does
+    assert add_box((2, 0), 3) is None  # (2, 0, 1) is not a partition
+    with pytest.raises(ValueError):
+        add_box((1, 2), 1)
+    with pytest.raises(ValueError):
+        add_box((2.0,), 1)
 
 
 def test_add_boxes_examples():

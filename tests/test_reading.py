@@ -19,7 +19,7 @@ from lrpictures.reading import (
     random_admissible_order,
     reading,
 )
-from lrpictures.tableau import from_rows
+from lrpictures.tableau import Tableau, from_rows
 
 
 def test_order_rejects_repeats():
@@ -150,6 +150,39 @@ def test_reading_rejects_mismatched_order():
     t = from_rows([[1, 2]])
     with pytest.raises(ValueError):
         reading(t, middle_eastern(SkewShape((3,))))
+
+
+def _layout(order):
+    """The neighbour and row-major positions of ``order``, written out from its cells."""
+    cells = list(order.cells)
+
+    def position(cell):
+        return cells.index(cell) if cell in cells else -1
+
+    up = tuple(position((i - 1, j)) for i, j in cells)
+    right = tuple(position((i, j + 1)) for i, j in cells)
+    at = tuple(cells.index(c) for c in sorted(cells))
+    return up, right, at
+
+
+def test_orders_lay_out_their_neighbour_and_row_major_positions():
+    box = subdiagrams((3, 3, 3))
+    shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
+    # the disconnected shape, and the 0-cell and 1-cell orders, by name
+    shapes += [SkewShape((2, 1), (1,)), SkewShape(()), SkewShape((1,))]
+    for shape in shapes:
+        orders = [middle_eastern(shape), far_eastern(shape)]
+        orders += [random_admissible_order(shape, seed) for seed in range(3)]
+        entries = iter(range(1, shape.size + 1))  # distinct entries, one per cell
+        widths = [shape.outer[i - 1] - shape.inner_width(i) for i in range(1, len(shape.outer) + 1)]
+        t = Tableau(shape, [[next(entries) for _ in range(width)] for width in widths])
+        for order in orders:
+            expected = _layout(order)
+            pickled = pickle.loads(pickle.dumps(order))
+            loaded = serialize.order_from_obj(serialize.order_to_obj(order))
+            for copy in (order, pickled, loaded):
+                assert (copy._up, copy._right, copy._at) == expected, (shape, order)
+            assert reading(t, order) == tuple(dict(t.items())[c] for c in order.cells)
 
 
 def test_is_lattice_permutation():

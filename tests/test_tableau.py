@@ -55,6 +55,16 @@ def test_tableau_construction_and_access():
     assert t.size == 3
 
 
+def test_entry_rejects_cells_outside_the_shape():
+    # a negative index would wrap to the row's end; (1, 1) lies in the inner shape
+    with pytest.raises(ValueError):
+        from_rows([[1, 2], [3]]).entry(1, 0)
+    t = from_rows([[1], [2]], inner=(1,))
+    assert t.shape == SkewShape((2, 1), (1,))
+    with pytest.raises(ValueError):
+        t.entry(1, 1)
+
+
 def test_tableau_rejects_bad_rows():
     with pytest.raises(ValueError):
         Tableau(SkewShape((2,)), ((1,),))
