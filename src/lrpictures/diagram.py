@@ -23,6 +23,14 @@ def _integers(values) -> tuple[int, ...]:
         raise ValueError(f"expected integers, got {values!r}") from None
 
 
+def _nonnegative(name: str, value) -> int:
+    """``value`` as an int, checked like ``_integers``; ValueError if negative."""
+    (value,) = _integers((value,))
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
 def as_partition(rows) -> Partition:
     """Canonicalize ``rows`` to a weakly decreasing tuple without trailing zeros."""
     out = _integers(rows)
@@ -47,8 +55,7 @@ def partition_contains(outer: Partition, inner: Partition) -> bool:
 def is_hook(y, m: int, n: int) -> bool:
     """True when ``y`` has no box at position (m+1, n+1), i.e. row m+1 is at most n."""
     y = as_partition(y)
-    if m < 0 or n < 0:
-        raise ValueError("hook parameters must be nonnegative")
+    m, n = _nonnegative("m", m), _nonnegative("n", n)
     return len(y) <= m or y[m] <= n
 
 

@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagram import SkewShape, _add_boxes, _skew, as_partition, is_hook, partition_contains
+from .diagram import SkewShape, _add_boxes, _nonnegative, _skew, as_partition, is_hook, partition_contains
 from .picture import Picture, is_admissible_picture
 from .reading import (
     AdmissibleOrder,
     far_eastern,
     is_admissible,
-    is_lattice_permutation,
     middle_eastern,
     reading,
 )
-from .tableau import Tableau, _p_indices, _tableau_from_entries, content, is_semistandard
+from .tableau import Tableau, _p_indices, content, is_semistandard
 
 
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
@@ -38,7 +37,7 @@ def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> Admissibl
 
 def _has_barred(t: Tableau) -> bool:
     """A barred entry keeps ``t`` out of both LR families."""
-    return any(e < 0 for row in t.rows for e in row)
+    return any(e < 0 for e in t.entries)
 
 
 def is_glr_lr_tableau(t: Tableau, y, z, order: AdmissibleOrder | None = None) -> bool:
@@ -63,22 +62,20 @@ def glr_lr_tableaux(
     shape = w if isinstance(w, SkewShape) else SkewShape(w)
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
-    top = len(z) if max_entry is None else max_entry
-    if top < 0:
-        raise ValueError("max_entry must be nonnegative")
+    top = len(z) if max_entry is None else _nonnegative("max_entry", max_entry)
     return _glr_lr(shape, y, z, order, min(top, len(z)))
 
 
 def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None) -> bool:
     """Membership in the two-family LR set: shape Z/Y, classical semistandard
-    condition, content ``w``, and a lattice reading word."""
+    condition, content ``w``, and a lattice reading word. A reading with
+    content ``w`` is a lattice word exactly when it grows the empty diagram
+    into ``w``, so past the shape this is classical membership for ((), w)."""
     y, w, z = as_partition(y), as_partition(w), as_partition(z)
     order = _checked_order(q.shape, order)
     if not partition_contains(z, y) or q.shape != _skew(z, y):
         return False
-    if _has_barred(q) or not is_semistandard(q) or content(q) != w:
-        return False
-    return is_lattice_permutation(reading(q, order))
+    return is_glr_lr_tableau(q, (), w, order)
 
 
 def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tableau, ...]:
@@ -134,7 +131,7 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
         rows[v - 1] -= 1
         v += 1
     found.sort()
-    return tuple(_tableau_from_entries(shape, entries) for entries in found)
+    return tuple([Tableau._build(shape, entries) for entries in found])
 
 
 # One cache for both families: a key they share names the same search. Both
@@ -149,7 +146,7 @@ def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:
     is a filling of the domain shape whose reading grows the codomain's inner
     shape into its outer shape.
     """
-    t = _tableau_from_entries(p.domain, [i for i, _ in p.images])
+    t = Tableau._build(p.domain, tuple([i for i, _ in p.images]))
     if verify:
         if not is_glr_lr_tableau(t, p.codomain.inner, p.codomain.outer):
             raise ValueError("picture_to_tableau output is not an LR member for the codomain")
@@ -202,7 +199,7 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     shape = SkewShape(w)
     if set(grid) != set(shape.cells()):
         raise ValueError("input content is not a partition shape; not an LR tableau")
-    t = _tableau_from_entries(shape, [grid[cell] for cell in shape.cells()])
+    t = Tableau._build(shape, tuple([grid[cell] for cell in shape.cells()]))
     if verify:
         if not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
             raise ValueError("companion_tableau output is not an LR member for the input's shape")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 
-from .diagram import Cell, SkewShape, _integers
+from .diagram import Cell, SkewShape, _grow, _integers
 from .tableau import Tableau
 
 
@@ -117,7 +116,7 @@ def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     """The entries of ``t`` listed in ``order``."""
     if not is_admissible(order, t.shape):
         raise ValueError("order does not cover the cells of the tableau")
-    return _reader(order)(tuple(chain.from_iterable(t.rows)))
+    return _reader(order)(t.entries)
 
 
 def _reader(order: AdmissibleOrder):
@@ -139,11 +138,6 @@ def _check_word(word) -> tuple[int, ...]:
 
 
 def is_lattice_permutation(word) -> bool:
-    """Every prefix holds at least as many letters i as i+1, for every i >= 1."""
-    word = _check_word(word)
-    counts = [0] * (max(word, default=0) + 1)
-    for v in word:
-        counts[v] += 1
-        if v > 1 and counts[v] > counts[v - 1]:
-            return False
-    return True
+    """Every prefix holds at least as many letters i as i+1, for every i >= 1:
+    that is, the word grows the empty diagram one box at a time."""
+    return not _grow([], _check_word(word))

@@ -1,8 +1,10 @@
 """Semistandard tableaux over the classical and the two-family alphabets.
 
-Entries are nonzero ints: ``k`` is the plain letter k, ``-k`` is the barred
-letter. The two-family alphabet is totally ordered as
-``1 < ... < m < -1 < ... < -n`` (all barred letters above all plain ones).
+A tableau stores its entries as one tuple in the row-major order of its
+shape's cells; its rows are sliced from that tuple when read. Entries are
+nonzero ints: ``k`` is the plain letter k, ``-k`` is the barred letter. The
+two-family alphabet is totally ordered as ``1 < ... < m < -1 < ... < -n``
+(all barred letters above all plain ones).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .diagram import Cell, SkewShape, _integers, as_partition
+from .diagram import Cell, SkewShape, _integers, _nonnegative, as_partition
 
 
 def bar(k: int) -> int:
@@ -38,17 +40,20 @@ def entry_str(e: int, unicode: bool = False) -> str:
 
 
 class Tableau:
-    """A filling of a skew shape; ``rows[i]`` lists the entries of the present cells.
+    """A filling of a skew shape, stored as ``entries``: one entry per cell,
+    in the shape's row-major cell order.
 
     ``Tableau(shape, rows)`` checks: every entry must be a nonzero integer,
-    and the rows must match the shape's row count and row widths.
-    ``Tableau._build`` only builds, for rows the library has laid out on the
-    shape itself; the constructor ends in it, so every tableau stores the same
-    fields: ``shape``, ``rows`` and its hash. Tableaux are values: nothing
+    and the rows must match the shape's row count and row widths; it then
+    flattens the rows once. ``Tableau._build`` only builds, from a row-major
+    entry tuple the library has laid out on the shape itself; the constructor
+    ends in it, so every tableau stores the same fields: ``shape``,
+    ``entries`` and its hash. ``rows``, the entries of each row, is sliced
+    from ``entries`` each time it is read. Tableaux are values: nothing
     changes them after they are built.
     """
 
-    __slots__ = ("shape", "rows", "_hash")
+    __slots__ = ("shape", "entries", "_hash")
 
     def __new__(cls, shape: SkewShape, rows):
         rows = tuple(_integers(r) for r in rows)
@@ -59,28 +64,33 @@ class Tableau:
                 raise ValueError(f"row {i} has {len(r)} entries for shape {shape}")
             if any(e == 0 for e in r):
                 raise ValueError("0 is not a tableau entry")
-        return cls._build(shape, rows)
+        return cls._build(shape, tuple(chain.from_iterable(rows)))
 
     @classmethod
-    def _build(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> Tableau:
+    def _build(cls, shape: SkewShape, entries: tuple[int, ...]) -> Tableau:
         self = object.__new__(cls)
         self.shape = shape
-        self.rows = rows
-        self._hash = hash((shape, rows))
+        self.entries = entries
+        self._hash = hash((shape, entries))
         return self
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        entries = self.entries
+        return tuple([entries[a:b] for a, b in self.shape._spans])
 
     def entry(self, i: int, j: int) -> int:
         """The entry in cell (i, j); ValueError for a cell outside the shape."""
         if (i, j) not in self.shape:
             raise ValueError(f"{(i, j)} is not a cell of {self.shape}")
-        return self.rows[i - 1][j - self.shape.inner_width(i) - 1]
+        return self.entries[self.shape._spans[i - 1][0] + j - self.shape.inner_width(i) - 1]
 
     def cells(self) -> tuple[Cell, ...]:
         return self.shape.cells()
 
     def items(self):
         """(cell, entry) pairs in row-major order."""
-        return zip(self.shape.cells(), chain.from_iterable(self.rows))
+        return zip(self.shape.cells(), self.entries)
 
     @property
     def size(self) -> int:
@@ -90,7 +100,7 @@ class Tableau:
         return self is other or (
             isinstance(other, Tableau)
             and self._hash == other._hash
-            and self.rows == other.rows
+            and self.entries == other.entries
             and self.shape == other.shape
         )
 
@@ -115,53 +125,53 @@ def from_rows(rows, inner=()) -> Tableau:
     return Tableau(SkewShape(outer, inner), rows)
 
 
-def _neighbors(t: Tableau, i: int, j: int):
-    left = t.entry(i, j - 1) if (i, j - 1) in t.shape else None
-    up = t.entry(i - 1, j) if (i - 1, j) in t.shape else None
+def _neighbour_positions(shape: SkewShape) -> tuple[list[int], list[int]]:
+    """Per row-major position of ``shape``, the positions of the left and the
+    upper neighbour (-1 if absent); both come earlier in row-major order."""
+    cells = shape.cells()
+    index = {c: k for k, c in enumerate(cells)}
+    left = [index.get((i, j - 1), -1) for i, j in cells]
+    up = [index.get((i - 1, j), -1) for i, j in cells]
     return left, up
+
+
+def _respects_bounds(t: Tableau, m: int) -> bool:
+    """True when every entry of ``t``, the barred letter bar(k) read as m + k,
+    meets the lower bound that ``_iter_fillings`` puts on it: letters up to m
+    weak along rows and strict down columns, letters above m the other way."""
+    e = [v if v > 0 else m - v for v in t.entries]
+    left, up = _neighbour_positions(t.shape)
+    for k, v in enumerate(e):
+        a, u = left[k], up[k]
+        if a >= 0 and v < e[a] + (e[a] > m):
+            return False
+        if u >= 0 and v < e[u] + (e[u] <= m):
+            return False
+    return True
 
 
 def is_semistandard(t: Tableau) -> bool:
     """Rows weakly increase, columns strictly increase. Entries must be plain letters."""
-    for _, e in t.items():
-        if e < 0:
-            raise ValueError("is_semistandard expects plain (unbarred) entries")
-    for (i, j), e in t.items():
-        left, up = _neighbors(t, i, j)
-        if left is not None and e < left:
-            return False
-        if up is not None and e <= up:
-            return False
-    return True
+    if any(e < 0 for e in t.entries):
+        raise ValueError("is_semistandard expects plain (unbarred) entries")
+    return _respects_bounds(t, max(t.entries, default=0))
 
 
 def is_glmn_semistandard(t: Tableau, m: int, n: int) -> bool:
     """Two-family condition: rows and columns weakly increase, plain letters are
     strict down columns, barred letters are strict along rows, and every entry
     lies in the alphabet 1..m, bar(1)..bar(n)."""
-    for _, e in t.items():
-        if e > m or -e > n:
-            return False
-    for (i, j), e in t.items():
-        left, up = _neighbors(t, i, j)
-        if left is not None:
-            if entry_key(e) < entry_key(left):
-                return False
-            if e == left and is_barred(e):
-                return False
-        if up is not None:
-            if entry_key(e) < entry_key(up):
-                return False
-            if e == up and not is_barred(e):
-                return False
-    return True
+    m, n = _nonnegative("m", m), _nonnegative("n", n)
+    if any(e > m or -e > n for e in t.entries):
+        return False
+    return _respects_bounds(t, m)
 
 
 def content(t: Tableau) -> tuple[int, ...]:
     """Counts of the letters 1..max, as a tuple. Entries must be plain letters."""
     counts: dict[int, int] = {}
     top = 0
-    for _, e in t.items():
+    for e in t.entries:
         if e < 0:
             raise ValueError("content expects plain (unbarred) entries")
         counts[e] = counts.get(e, 0) + 1
@@ -171,8 +181,9 @@ def content(t: Tableau) -> tuple[int, ...]:
 
 def glmn_weight(t: Tableau, m: int, n: int) -> tuple[int, ...]:
     """Letter counts over the two-family alphabet, plain letters first."""
+    m, n = _nonnegative("m", m), _nonnegative("n", n)
     w = [0] * (m + n)
-    for _, e in t.items():
+    for e in t.entries:
         idx = e - 1 if e > 0 else m + (-e) - 1
         if idx < 0 or idx >= m + n:
             raise ValueError(f"entry {e} outside the ({m},{n}) alphabet")
@@ -185,8 +196,10 @@ def p_index(t: Tableau, cell: Cell) -> int:
 
     Well-defined only when equal entries occupy distinct columns, which
     semistandardness of either flavor guarantees; repeats in a column are
-    rejected loudly.
+    rejected loudly. ValueError for a cell outside the shape.
     """
+    if cell not in t.shape:
+        raise ValueError(f"{cell} is not a cell of {t.shape}")
     return _p_indices(t, (cell,))[0]
 
 
@@ -217,11 +230,8 @@ def _iter_fillings(shape: SkewShape, m: int, letters: int):
     A cell's lower bound comes from its left and upper neighbours, both
     earlier in row-major order.
     """
-    cells = shape.cells()
-    index = {c: k for k, c in enumerate(cells)}
-    left = [index.get((i, j - 1), -1) for i, j in cells]
-    up = [index.get((i - 1, j), -1) for i, j in cells]
-    n = len(cells)
+    left, up = _neighbour_positions(shape)
+    n = len(left)
     if n == 0:
         yield ()
         return
@@ -257,19 +267,11 @@ def _fillings(shape: SkewShape, m: int, letters: int) -> tuple[tuple[int, ...], 
     return tuple(_iter_fillings(shape, m, letters))
 
 
-def _tableau_from_entries(shape: SkewShape, entries) -> Tableau:
-    """The tableau on ``shape`` whose row-major entry vector is ``entries``,
-    nonzero ints, one per cell."""
-    entries = tuple(entries)
-    return Tableau._build(shape, tuple([entries[a:b] for a, b in shape._spans]))
-
-
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard fillings of ``shape`` with entries in 1..max_entry,
     in lexicographic order of the row-major entry vector."""
-    if max_entry < 0:
-        raise ValueError("max_entry must be nonnegative")
-    return tuple(_tableau_from_entries(shape, e) for e in _iter_fillings(shape, max_entry, max_entry))
+    max_entry = _nonnegative("max_entry", max_entry)
+    return tuple(Tableau._build(shape, e) for e in _iter_fillings(shape, max_entry, max_entry))
 
 
 def enumerate_glmn(shape: SkewShape, m: int, n: int) -> tuple[Tableau, ...]:
@@ -278,9 +280,8 @@ def enumerate_glmn(shape: SkewShape, m: int, n: int) -> tuple[Tableau, ...]:
     For straight shapes this is nonempty exactly when the shape is an
     (m, n)-hook diagram.
     """
-    if m < 0 or n < 0:
-        raise ValueError("alphabet sizes must be nonnegative")
+    m, n = _nonnegative("m", m), _nonnegative("n", n)
     return tuple(
-        _tableau_from_entries(shape, [e if e <= m else m - e for e in entries])
+        Tableau._build(shape, tuple([e if e <= m else m - e for e in entries]))
         for entries in _iter_fillings(shape, m, m + n)
     )

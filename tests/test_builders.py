@@ -75,7 +75,7 @@ def test_builders_agree_with_the_checking_constructors():
         _same_shape(s, _rebuilt_shape(s))
     for t in tableaux:
         r = Tableau(_rebuilt_shape(t.shape), [list(row) for row in t.rows])
-        assert r == t and hash(r) == hash(t) == hash((t.shape, t.rows))
+        assert r == t and hash(r) == hash(t) == hash((t.shape, t.entries))
         assert r.size == t.size and r.cells() == t.cells()
         _same_shape(t.shape, r.shape)
     for p in pictures:

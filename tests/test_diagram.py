@@ -18,6 +18,7 @@ from lrpictures.diagram import (
     partitions_up_to,
     subdiagrams,
 )
+from lrpictures.lr import lr_coefficient
 
 
 def test_as_partition_canonicalizes():
@@ -70,6 +71,11 @@ def test_is_hook():
         assert is_hook(p, 2, 2)
     with pytest.raises(ValueError):
         is_hook((1,), -1, 0)
+    # a non-integral hook size is refused, here and in the coefficient that tests it
+    with pytest.raises(ValueError):
+        is_hook((1,), 1.5, 1)
+    with pytest.raises(ValueError):
+        lr_coefficient((1,), (1,), (2,), 1.5, 1)
 
 
 def test_skew_shape_cells_row_major():

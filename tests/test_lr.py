@@ -12,6 +12,7 @@ from oracles import (
     glmn_lr_oracle,
     glr_lr_oracle,
     p_index_oracle,
+    ssyt_oracle,
 )
 from lrpictures.diagram import SkewShape, partition_contains, partitions_of
 from lrpictures.lr import (
@@ -157,6 +158,30 @@ def test_lr_families_come_in_lexicographic_order(y, w, spec):
         assert increasing(glr_lr_tableaux(sw, y, z, order=make(sw)))
         if partition_contains(z, y):
             assert increasing(glmn_lr_tableaux(y, w, z, order=make(SkewShape(z, y))))
+
+
+def test_membership_predicates_match_their_oracles():
+    # every semistandard filling of Z/Y and of W, for every straight triple
+    # with |z| <= 5 under three orders: True exactly for the oracles' members
+    def tableau(shape, filling):
+        return Tableau(shape, [[filling[c] for c in shape.cells()[a:b]] for a, b in shape._spans])
+
+    checked = 0
+    for y, w, z in straight_triples(5):
+        zy, sw = SkewShape(z, y), SkewShape(w)
+        for spec in ("ME", "FE", "seed:0"):
+            a, b = resolve_order(spec, zy), resolve_order(spec, sw)
+            members = {tableau(zy, f) for f in glmn_lr_oracle(y, w, z, a)}
+            for f in ssyt_oracle(zy, max(len(w), len(z))):
+                q = tableau(zy, f)
+                assert is_glmn_lr_tableau(q, y, w, z, order=a) == (q in members), (q, y, w, z, spec)
+                checked += 1
+            members = {tableau(sw, f) for f in glr_lr_oracle(sw, y, z, b, len(z))}
+            for f in ssyt_oracle(sw, len(z)):
+                t = tableau(sw, f)
+                assert is_glr_lr_tableau(t, y, z, order=b) == (t in members), (t, y, z, spec)
+                checked += 1
+    assert checked == 15927
 
 
 def test_negative_max_entry_is_refused():

@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import filling_of, glmn_oracle, ssyt_oracle
-from lrpictures.diagram import SkewShape
+from lrpictures.diagram import SkewShape, subdiagrams
 from lrpictures.tableau import (
     Tableau,
     bar,
@@ -99,6 +101,31 @@ def test_is_glmn_semistandard():
     assert not is_glmn_semistandard(from_rows([[bar(2)]]), 1, 1)
 
 
+def test_semistandard_predicates_match_their_oracles():
+    # every filling of every skew shape in a 3x3 box with at most 5 cells, over
+    # the (m, n) alphabet and the letters m+1 and bar(n+1) just outside it
+    box = subdiagrams((3, 3, 3))
+    shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
+    shapes = [s for s in shapes if s.size <= 5]
+    checked = 0
+    for m, n in ((2, 1), (1, 2), (0, 2), (2, 0), (1, 1)):
+        letters = list(range(1, m + 2)) + [bar(k) for k in range(1, n + 2)]
+        for shape in shapes:
+            cells = shape.cells()
+            ssyt = {tuple(f[c] for c in cells) for f in ssyt_oracle(shape, m + 1)}
+            glmn = {tuple(f[c] for c in cells) for f in glmn_oracle(shape, m, n)}
+            for entries in product(letters, repeat=shape.size):
+                t = Tableau(shape, [entries[a:b] for a, b in shape._spans])
+                assert is_glmn_semistandard(t, m, n) == (entries in glmn), (t, m, n)
+                if min(entries, default=1) < 0:
+                    with pytest.raises(ValueError):
+                        is_semistandard(t)
+                else:
+                    assert is_semistandard(t) == (entries in ssyt), t
+                checked += 1
+    assert checked == 215574
+
+
 def test_content_and_weight():
     t = from_rows([[1, 1, 2], [2, 3]])
     assert content(t) == (2, 2, 1)
@@ -107,6 +134,21 @@ def test_content_and_weight():
     assert glmn_weight(from_rows([[1, bar(2)]]), 1, 2) == (1, 0, 1)
     with pytest.raises(ValueError):
         glmn_weight(from_rows([[3]]), 1, 1)
+    # a negative alphabet size is refused, not read as a shorter weight
+    with pytest.raises(ValueError):
+        glmn_weight(from_rows([[1]]), -1, 2)
+
+
+def test_alphabet_sizes_must_be_nonnegative_integers():
+    # neither truncated (2.5 -> 2) nor let through into the entries (1.5 - 2 == -0.5)
+    with pytest.raises(ValueError):
+        enumerate_glmn(SkewShape((2,)), 1.5, 1)
+    with pytest.raises(ValueError):
+        enumerate_ssyt(SkewShape((2,)), 2.5)
+    with pytest.raises(ValueError):
+        enumerate_glmn(SkewShape((2,)), 1, -1)
+    with pytest.raises(ValueError):
+        is_glmn_semistandard(from_rows([[1]]), 1.5, 1)
 
 
 def test_p_index_on_worked_example():
@@ -127,6 +169,13 @@ def test_p_index_on_worked_example():
     }
     for cell, want in expected.items():
         assert p_index(q, cell) == want
+
+
+def test_p_index_rejects_cells_outside_the_shape():
+    t = from_rows([[1, 2], [3]])
+    for cell in ((5, 5), (2, 2), (0, 1)):
+        with pytest.raises(ValueError):
+            p_index(t, cell)
 
 
 def test_p_index_rejects_column_repeats():
