@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a verification finds a violated invariant,
 2 on malformed input or usage errors. All mathematical output goes to stdout
 as JSON (one object per line for enumerations and sweeps); identical inputs
-produce byte-identical output.
+produce byte-identical output. Listings and sweeps write their first line on
+its own, so it leaves at once, and the rest in batches of lines, one write each.
 
 Order specs are ME, FE, seed:<n>, or @file.json holding an array of cells.
 """
@@ -14,6 +15,7 @@ import argparse
 import json
 import signal
 import sys
+from itertools import islice
 
 from . import serialize, sweeps
 from .crystal import verify_decomposition_glmn, verify_decomposition_glr
@@ -84,10 +86,22 @@ def _resolve_order(spec: str | None, shape: SkewShape, seed: int):
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps with options builds one per call
+_BATCH = 512  # lines per write after the first
 
 
 def _emit(obj):
     sys.stdout.write(_ENCODER.encode(obj) + "\n")
+
+
+def _write(lines):
+    """Write ``lines`` (each ending in a newline) to stdout: the first on its
+    own, then the rest joined in batches of ``_BATCH``, one write per batch."""
+    lines = iter(lines)
+    for first in lines:
+        sys.stdout.write(first)
+        break
+    while batch := "".join(islice(lines, _BATCH)):
+        sys.stdout.write(batch)
 
 
 def _cmd_coeff(args) -> int:
@@ -102,30 +116,25 @@ def _cmd_coeff(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.family == "ssyt":
         shape = _parse_shape(args.shape)
-        for t in enumerate_ssyt(shape, args.max_entry):
-            _emit(serialize.tableau_to_obj(t))
+        _write(serialize.tableau_lines(enumerate_ssyt(shape, args.max_entry)))
     elif args.family == "glmn":
         shape = _parse_shape(args.shape)
-        for t in enumerate_glmn(shape, args.m, args.n):
-            _emit(serialize.tableau_to_obj(t))
+        _write(serialize.tableau_lines(enumerate_glmn(shape, args.m, args.n)))
     elif args.family == "lr":
         y, w, z = map(_parse_partition, (args.y, args.w, args.z))
         order = _resolve_order(args.order, SkewShape(z, y), args.seed)
-        for t in glmn_lr_tableaux(y, w, z, order=order):
-            _emit(serialize.tableau_to_obj(t))
+        _write(serialize.tableau_lines(glmn_lr_tableaux(y, w, z, order=order)))
     elif args.family == "lrglr":
         w_shape = _parse_shape(args.w)
         y, z = _parse_partition(args.y), _parse_partition(args.z)
         order = _resolve_order(args.order, w_shape, args.seed)
-        for t in glr_lr_tableaux(w_shape, y, z, order=order, max_entry=args.max_entry):
-            _emit(serialize.tableau_to_obj(t))
+        _write(serialize.tableau_lines(glr_lr_tableaux(w_shape, y, z, order=order, max_entry=args.max_entry)))
     else:
         domain = _parse_shape(args.domain)
         codomain = _parse_shape(args.codomain)
         a = _resolve_order(args.order, codomain, args.seed)
         a_prime = _resolve_order(args.order2, domain, args.seed)
-        for p in enumerate_pictures(domain, codomain, a, a_prime):
-            _emit(serialize.picture_to_obj(p))
+        _write(serialize.picture_lines(enumerate_pictures(domain, codomain, a, a_prime)))
     return 0
 
 
@@ -140,28 +149,28 @@ def _cmd_map(args) -> int:
         p = serialize.picture_from_obj(obj)
         _check_flag("z", args.z, p.codomain.outer)
         _check_flag("y", args.y, p.codomain.inner)
-        _emit(serialize.tableau_to_obj(picture_to_tableau(p, verify=True)))
+        _write(serialize.tableau_lines([picture_to_tableau(p, verify=True)]))
     elif args.name == "psi":
         t = serialize.tableau_from_obj(obj)
         if args.y is None:
             raise InputError("psi needs --y (the inner shape of the target)")
         p = tableau_to_picture(t, _parse_partition(args.y), verify=True)
         _check_flag("z", args.z, p.codomain.outer)
-        _emit(serialize.picture_to_obj(p))
+        _write(serialize.picture_lines([p]))
     elif args.name == "psitilde":
         t = serialize.tableau_from_obj(obj)
         _check_flag("y", args.y, t.shape.inner)
         _check_flag("z", args.z, t.shape.outer)
-        _emit(serialize.picture_to_obj(tableau_to_picture(t, (), verify=True)))
+        _write(serialize.picture_lines([tableau_to_picture(t, (), verify=True)]))
     elif args.name == "phihat":
         q = serialize.tableau_from_obj(obj)
         _check_flag("y", args.y, q.shape.inner)
         _check_flag("z", args.z, q.shape.outer)
         _check_flag("w", args.w, content(q))
-        _emit(serialize.tableau_to_obj(companion_tableau(q, verify=True)))
+        _write(serialize.tableau_lines([companion_tableau(q, verify=True)]))
     else:
         p = serialize.picture_from_obj(obj)
-        _emit(serialize.picture_to_obj(omega(p)))
+        _write(serialize.picture_lines([omega(p)]))
     return 0
 
 
@@ -235,12 +244,13 @@ def _cmd_verify(args) -> int:
                 pictures=args.what == "roundtrip",
                 jobs=args.jobs,
             )
-        for line in _sweep_lines(records, args.m, args.n):
-            _emit(line)
+        _write(_ENCODER.encode(line) + "\n" for line in _sweep_lines(records, args.m, args.n))
         for rec in records:
             total += 1
             if not sweeps.record_ok(rec):
                 failures += 1
+    # the two decomposition loops compute each line as they print it, so they
+    # write line by line: a batch would hold each line back until it filled
     elif args.what == "decomposition-glr":
         shapes = [p for p in partitions_up_to(args.max_size, max_rows=args.r)]
         for y in shapes:

@@ -16,7 +16,7 @@ from operator import add
 
 from .diagram import Partition, SkewShape, _add_boxes, as_partition, is_hook, partitions_of
 from .lr import glmn_lr_tableaux
-from .reading import _check_word, _reader, far_eastern, middle_eastern
+from .reading import _check_word, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
 
 
@@ -116,8 +116,7 @@ class DecompositionReport:
 
 
 def _reading_words(shape: SkewShape, max_entry: int, order) -> list[tuple[int, ...]]:
-    read = _reader(order)
-    return [read(e) for e in _fillings(shape, max_entry, max_entry)]
+    return list(map(order._reader, _fillings(shape, max_entry, max_entry)))
 
 
 def _grown_shapes(y, words) -> Counter:

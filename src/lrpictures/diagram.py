@@ -68,11 +68,13 @@ class SkewShape:
     while the bounded table of ``_skew`` holds it. ``SkewShape._build`` only
     builds, for pairs the library has made canonical and nested itself, so
     every shape stores the same fields: ``outer``, ``inner``, ``size``, its
-    cell tuple, each row's ``(start, stop)`` span in that tuple, and its hash.
-    Shapes are values: nothing changes them after they are built.
+    cell tuple, each row's ``(start, stop)`` span in that tuple, per cell the
+    positions there of its left and upper neighbours (``_left``, ``_up``; -1
+    if absent), and its hash. Shapes are values: nothing changes them after
+    they are built.
     """
 
-    __slots__ = ("outer", "inner", "size", "_row_major", "_spans", "_hash")
+    __slots__ = ("outer", "inner", "size", "_row_major", "_spans", "_left", "_up", "_hash")
 
     def __new__(cls, outer, inner=()):
         outer, inner = as_partition(outer), as_partition(inner)
@@ -85,15 +87,22 @@ class SkewShape:
         self = object.__new__(cls)
         self.outer = outer
         self.inner = inner
-        cells, spans = [], []
+        cells, spans, left, up = [], [], [], []
+        shift, top = 0, outer[0] if outer else 0  # (i - 1, j) sits at shift + j when j > top
         for i, row in enumerate(outer, start=1):
             lo = inner[i - 1] if i <= len(inner) else 0
-            spans.append((len(cells), len(cells) + row - lo))
+            start = len(cells)
+            spans.append((start, start + row - lo))
             for j in range(lo + 1, row + 1):
+                left.append(len(cells) - 1 if j > lo + 1 else -1)
+                up.append(shift + j if j > top else -1)
                 cells.append((i, j))
+            shift, top = start - lo - 1, lo
         self.size = len(cells)
         self._row_major = tuple(cells)
         self._spans = tuple(spans)
+        self._left = tuple(left)
+        self._up = tuple(up)
         self._hash = hash((outer, inner))  # shapes key most caches, so hash them once
         return self
 

@@ -24,9 +24,10 @@ class AdmissibleOrder:
     """An admissible order on a finite cell set, stored as the explicit sequence;
     building one from a sequence that is not admissible raises ValueError.
     Per position, ``_up`` and ``_right`` hold the positions of the upper and
-    right neighbours (-1 if absent); ``_at`` holds each row-major cell's position."""
+    right neighbours (-1 if absent); ``_at`` holds each row-major cell's position,
+    and ``_reader``, its inverse, takes a row-major entry vector to the reading word."""
 
-    __slots__ = ("cells", "_rank", "_row_major", "_up", "_right", "_at", "_hash")
+    __slots__ = ("cells", "_rank", "_row_major", "_up", "_right", "_at", "_reader", "_hash")
 
     def __init__(self, cells):
         cells = tuple(_integers((i, j)) for i, j in cells)
@@ -44,7 +45,12 @@ class AdmissibleOrder:
         self._row_major = tuple(sorted(cells))
         self._up = tuple([rank.get((i - 1, j), -1) for i, j in cells])
         self._right = tuple([rank.get((i, j + 1), -1) for i, j in cells])
-        self._at = tuple([rank[c] for c in self._row_major])
+        self._at = at = tuple([rank[c] for c in self._row_major])
+        picks = [0] * len(at)  # per position, the row-major index of its cell
+        for r, k in enumerate(at):
+            picks[k] = r
+        # itemgetter returns a bare item for one index; up to one cell, reading keeps the order
+        self._reader = itemgetter(*picks) if len(picks) > 1 else tuple
         self._hash = hash(cells)  # orders key the search caches, so hash them once
 
     def rank(self, cell: Cell) -> int:
@@ -116,17 +122,7 @@ def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     """The entries of ``t`` listed in ``order``."""
     if not is_admissible(order, t.shape):
         raise ValueError("order does not cover the cells of the tableau")
-    return _reader(order)(t.entries)
-
-
-def _reader(order: AdmissibleOrder):
-    """A function taking a row-major entry vector of ``order``'s cells to its reading word."""
-    picks = [0] * len(order)  # per position, the row-major index of its cell
-    for r, k in enumerate(order._at):
-        picks[k] = r
-    if len(picks) < 2:  # itemgetter returns a bare item for one index
-        return lambda entries: tuple(entries[k] for k in picks)
-    return itemgetter(*picks)
+    return order._reader(t.entries)
 
 
 def _check_word(word) -> tuple[int, ...]:

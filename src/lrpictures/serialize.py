@@ -4,9 +4,15 @@ Partitions are arrays of row lengths, skew shapes are ``{"outer", "inner"}``,
 cells are ``[row, col]`` pairs, tableaux carry their shape plus entry rows
 (barred letters as negative ints), pictures list their cell pairs sorted by
 domain cell.
+
+``tableau_lines`` and ``picture_lines`` give the compact JSON line of
+``tableau_to_obj`` and ``picture_to_obj``, byte for byte, from a ``%``
+template built once per shape (or shape pair) and kept for that call only.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .diagram import Partition, SkewShape, as_partition
 from .picture import Picture
@@ -45,6 +51,22 @@ def tableau_to_obj(t: Tableau) -> dict:
     return {"shape": shape_to_obj(t.shape), "rows": [list(r) for r in t.rows]}
 
 
+def _shape_text(s: SkewShape) -> str:
+    return '{"outer":[%s],"inner":[%s]}' % (",".join(map(str, s.outer)), ",".join(map(str, s.inner)))
+
+
+def tableau_lines(tableaux):
+    """Per tableau, its ``tableau_to_obj`` as one compact JSON line; the
+    template takes the row-major ``entries`` as they are."""
+    templates = {}
+    for t in tableaux:
+        fmt = templates.get(t.shape)
+        if fmt is None:
+            rows = ",".join("[" + ",".join(["%d"] * (b - a)) + "]" for a, b in t.shape._spans)
+            fmt = templates[t.shape] = '{"shape":%s,"rows":[%s]}\n' % (_shape_text(t.shape), rows)
+        yield fmt % t.entries
+
+
 def tableau_from_obj(obj) -> Tableau:
     if not isinstance(obj, dict) or "shape" not in obj or "rows" not in obj:
         raise ValueError("a tableau must be an object with 'shape' and 'rows'")
@@ -68,6 +90,19 @@ def picture_to_obj(p: Picture) -> dict:
         "codomain": shape_to_obj(p.codomain),
         "map": [[list(u), list(v)] for u, v in zip(p.domain.cells(), p.images)],  # row-major: sorted
     }
+
+
+def picture_lines(pictures):
+    """Per picture, its ``picture_to_obj`` as one compact JSON line; the
+    template takes the images, flattened, in row-major domain order."""
+    templates = {}
+    for p in pictures:
+        key = (p.domain, p.codomain)
+        fmt = templates.get(key)
+        if fmt is None:
+            pairs = ",".join("[[%d,%d],[%%d,%%d]]" % u for u in p.domain.cells())
+            fmt = templates[key] = '{"domain":%s,"codomain":%s,"map":[%s]}\n' % (*map(_shape_text, key), pairs)
+        yield fmt % tuple(chain.from_iterable(p.images))
 
 
 def picture_from_obj(obj) -> Picture:

@@ -125,22 +125,12 @@ def from_rows(rows, inner=()) -> Tableau:
     return Tableau(SkewShape(outer, inner), rows)
 
 
-def _neighbour_positions(shape: SkewShape) -> tuple[list[int], list[int]]:
-    """Per row-major position of ``shape``, the positions of the left and the
-    upper neighbour (-1 if absent); both come earlier in row-major order."""
-    cells = shape.cells()
-    index = {c: k for k, c in enumerate(cells)}
-    left = [index.get((i, j - 1), -1) for i, j in cells]
-    up = [index.get((i - 1, j), -1) for i, j in cells]
-    return left, up
-
-
 def _respects_bounds(t: Tableau, m: int) -> bool:
     """True when every entry of ``t``, the barred letter bar(k) read as m + k,
     meets the lower bound that ``_iter_fillings`` puts on it: letters up to m
     weak along rows and strict down columns, letters above m the other way."""
     e = [v if v > 0 else m - v for v in t.entries]
-    left, up = _neighbour_positions(t.shape)
+    left, up = t.shape._left, t.shape._up
     for k, v in enumerate(e):
         a, u = left[k], up[k]
         if a >= 0 and v < e[a] + (e[a] > m):
@@ -230,7 +220,7 @@ def _iter_fillings(shape: SkewShape, m: int, letters: int):
     A cell's lower bound comes from its left and upper neighbours, both
     earlier in row-major order.
     """
-    left, up = _neighbour_positions(shape)
+    left, up = shape._left, shape._up
     n = len(left)
     if n == 0:
         yield ()

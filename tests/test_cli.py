@@ -417,6 +417,29 @@ def test_closed_stdout_is_not_a_failure():
     assert code != 1
 
 
+B = cli._BATCH
+
+
+@pytest.mark.parametrize(
+    "count, writes", [(0, 0), (1, 1), (2, 2), (B, 2), (B + 1, 2), (B + 2, 3), (2 * B + 2, 4)]
+)
+def test_write_sends_the_first_line_alone_then_batches(count, writes, monkeypatch):
+    class Stdout:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    out = Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    given = [f"line {k}\n" for k in range(count)]
+    cli._write(iter(given))
+    assert "".join(out.writes) == "".join(given)
+    assert out.writes[:1] == given[:1]
+    assert len(out.writes) == writes
+
+
 def test_cli_import_leaves_numpy_and_numba_out():
     code = "import sys, lrpictures.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
     proc = subprocess.run(

@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import strategies as sts
 from oracles import subdiagrams_oracle
@@ -85,6 +85,16 @@ def test_skew_shape_cells_row_major():
     assert (1, 1) not in s
     assert (2, 1) in s
     assert (3, 1) not in s
+
+
+@given(sts.skew_shapes(max_size=8))
+@example(SkewShape((2, 1), (1,)))  # disconnected: (2, 1) sits left of, not under, (1, 2)
+@example(SkewShape((3, 3, 1), (3, 1)))  # the top row covered, a row that starts further left
+def test_shapes_lay_out_their_left_and_upper_neighbours(shape):
+    cells = shape.cells()
+    position = {c: k for k, c in enumerate(cells)}
+    assert shape._left == tuple(position.get((i, j - 1), -1) for i, j in cells)
+    assert shape._up == tuple(position.get((i - 1, j), -1) for i, j in cells)
 
 
 def test_equal_shapes_are_one_object():

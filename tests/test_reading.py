@@ -182,7 +182,7 @@ def test_orders_lay_out_their_neighbour_and_row_major_positions():
             loaded = serialize.order_from_obj(serialize.order_to_obj(order))
             for copy in (order, pickled, loaded):
                 assert (copy._up, copy._right, copy._at) == expected, (shape, order)
-            assert reading(t, order) == tuple(dict(t.items())[c] for c in order.cells)
+                assert reading(t, copy) == tuple(dict(t.items())[c] for c in order.cells)
 
 
 def test_is_lattice_permutation():

@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from lrpictures import serialize
-from lrpictures.diagram import SkewShape
-from lrpictures.picture import Picture
-from lrpictures.reading import middle_eastern
+import strategies as sts
+from lrpictures import cli, serialize
+from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
+from lrpictures.picture import Picture, enumerate_pictures
+from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.tableau import Tableau, from_rows
 
 
@@ -95,3 +98,49 @@ def test_json_booleans_are_not_ints(load, obj):
     # bool is an int subclass in Python, but true is not a row length, an entry or a coordinate
     with pytest.raises(ValueError):
         load(obj)
+
+
+def _json_line(obj) -> str:
+    return cli._ENCODER.encode(obj) + "\n"
+
+
+def _fillings(shape):
+    """Tableaux on ``shape`` with any nonzero entries, barred ones and several digits among them."""
+    entry = st.integers(-12, 12).filter(bool)
+    return st.lists(entry, min_size=shape.size, max_size=shape.size).map(
+        lambda entries: Tableau(shape, [entries[a:b] for a, b in shape._spans])
+    )
+
+
+@given(st.lists(sts.skew_shapes(max_size=7).flatmap(_fillings), max_size=4))
+@example([from_rows([])])  # the empty shape
+@example([from_rows([[-3]]), from_rows([[7]], inner=(2,))])  # one-cell shapes
+@example([Tableau(SkewShape((3, 2, 1), (3, 1)), [[], [-1], [2]])])  # a row the inner shape covers
+@example([Tableau(SkewShape((2, 1), (2, 1)), [[], []])])  # every row covered
+def test_tableau_lines_are_the_object_form(tableaux):
+    # one call over several shapes: each tableau is written with its own shape's template
+    assert list(serialize.tableau_lines(tableaux)) == [
+        _json_line(serialize.tableau_to_obj(t)) for t in tableaux
+    ]
+
+
+def test_picture_lines_are_the_object_form():
+    # every pair of equal-size shapes up to 5 cells, the 0-cell and 1-cell pairs among them
+    shapes = [SkewShape(outer, inner) for outer in partitions_up_to(5) for inner in subdiagrams(outer)]
+    seen = 0
+    for x in shapes:
+        for y in shapes:
+            if x.size != y.size:
+                continue
+            orders = [(middle_eastern(y), far_eastern(x)), (random_admissible_order(y, 1), middle_eastern(x))]
+            for a, a_prime in orders:
+                pictures = enumerate_pictures(x, y, a, a_prime)
+                assert list(serialize.picture_lines(pictures)) == [
+                    _json_line(serialize.picture_to_obj(p)) for p in pictures
+                ]
+                seen += len(pictures)
+    assert seen > 3000
+    one, moved = SkewShape((1,)), SkewShape((2, 2), (2, 1))
+    assert list(serialize.picture_lines([Picture(one, moved, {(1, 1): (2, 2)})])) == [
+        '{"domain":{"outer":[1],"inner":[]},"codomain":{"outer":[2,2],"inner":[2,1]},"map":[[[1,1],[2,2]]]}\n'
+    ]
