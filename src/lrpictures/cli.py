@@ -192,8 +192,7 @@ def _cmd_render(args) -> int:
 
 def _sweep_lines(records, m=None, n=None):
     for rec in records:
-        outer, inner = rec["w"]
-        w_obj = list(outer) if not inner else {"outer": list(outer), "inner": list(inner)}
+        w_obj = list(rec["w"][0])  # every CLI sweep runs straight triples: W is its outer shape
         for entry in rec["orders"]:
             yield {
                 "y": list(rec["y"]),

@@ -4,11 +4,11 @@ tableaux and pictures.
 The classical family for a triple (Y, W, Z) holds the semistandard fillings T
 of shape W whose reading word, taken in an admissible order, grows Y into Z
 one box at a time. The two-family (super) side holds the semistandard skew
-fillings of Z/Y with content W whose reading word is a lattice permutation,
-that is, whose reading grows the empty diagram into W; one pruned search
-builds both. The maps below realize both as picture sets and carry one family
-to the other; all of them are verified elementwise by brute-force enumeration
-in the test suite.
+fillings of Z/Y whose reading grows W.inner into W.outer (for a straight W:
+content W and a lattice reading); one pruned search builds both, for W
+straight or skew. The maps below realize both as picture sets and carry one
+family to the other; all of them are verified elementwise by brute-force
+enumeration in the test suite.
 """
 
 from __future__ import annotations
@@ -66,31 +66,38 @@ def glr_lr_tableaux(
     return _glr_lr(shape, y, z, order, min(top, len(z)))
 
 
+def _ends(w) -> tuple[tuple, tuple]:
+    """(W.inner, W.outer); a partition ``w`` gives ((), w) and builds no SkewShape."""
+    return (w.inner, w.outer) if isinstance(w, SkewShape) else ((), as_partition(w))
+
+
 def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None) -> bool:
     """Membership in the two-family LR set: shape Z/Y, classical semistandard
-    condition, content ``w``, and a lattice reading word. A reading with
-    content ``w`` is a lattice word exactly when it grows the empty diagram
-    into ``w``, so past the shape this is classical membership for ((), w)."""
-    y, w, z = as_partition(y), as_partition(w), as_partition(z)
+    condition, and a reading that grows W.inner into W.outer, which for a
+    partition ``w`` means content ``w`` and a lattice reading word. Past the
+    shape this is classical membership for (W.inner, W.outer)."""
+    y, z = as_partition(y), as_partition(z)
+    start, end = _ends(w)
     order = _checked_order(q.shape, order)
     if not partition_contains(z, y) or q.shape != _skew(z, y):
         return False
-    return is_glr_lr_tableau(q, (), w, order)
+    return is_glr_lr_tableau(q, start, end, order)
 
 
 def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tableau, ...]:
     """All two-family LR tableaux for the triple, or () on degenerate input.
 
-    A reading word with content ``w`` is a lattice permutation exactly when
-    it grows the empty diagram into ``w`` one box at a time, so this is the
-    classical search on Z/Y for the pair ((), w).
+    ``w`` is a partition or a skew shape. A member's reading grows W.inner
+    into W.outer (for a partition ``w``: content ``w`` and a lattice word),
+    so this is the classical search on Z/Y for that pair.
     """
-    y, w, z = as_partition(y), as_partition(w), as_partition(z)
+    y, z = as_partition(y), as_partition(z)
+    start, end = _ends(w)
     if not partition_contains(z, y):
         return ()
     shape = _skew(z, y)
     order = _checked_order(shape, order)
-    return _glmn_lr(shape, (), w, order, len(w))
+    return _glmn_lr(shape, start, end, order, len(end))
 
 
 def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:

@@ -1,12 +1,12 @@
 """Exhaustive verification sweeps over triples of shapes.
 
 These drivers back the ``verify`` subcommands and the acceptance tests. Each
-record covers one triple (y, w, z): both LR counts, picture counts and
-round-trips of the maps under every requested order spec, order-independence
-of the enumerated sets, and a membership check: every two-family LR tableau,
-in each order, has content w and a lattice reading. A family is built once
-per distinct order and the pictures once per distinct order pair, however
-many specs name them.
+record covers one triple (y, W, z), W straight or skew, in both directions:
+both LR counts, both picture counts and both round-trips of the maps under
+every requested order spec, order-independence of the enumerated sets, and a
+membership check: every two-family LR tableau, in each order, has a reading
+that grows W.inner into W.outer. A family is built once per distinct order
+and the pictures once per distinct order pair, however many specs name them.
 """
 
 from __future__ import annotations
@@ -88,8 +88,11 @@ def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
         return False
     for t in members:
         if t not in images:
-            p = tableau_to_picture(t, base)
-            images[t] = p if picture_to_tableau(p) == t else None
+            try:
+                p = tableau_to_picture(t, base)
+                images[t] = p if picture_to_tableau(p) == t else None
+            except ValueError:  # a member that maps nowhere does not map back either
+                images[t] = None
         if images[t] is None:
             return False
     return {images[t] for t in members} == set(pictures)
@@ -112,34 +115,31 @@ def check_triple(
 ) -> dict:
     """Run every per-triple verification; ``w`` may be a partition or a skew shape.
 
-    Each family is built once per distinct order on its shape, and the
-    pictures and their round-trip checks run once per distinct (order on W,
-    order on Z/Y) pair. Specs that resolve to equal orders (ME and FE on one
-    row, say) get that pair's entry under their own names: every search and
-    check is a pure function of its shapes, orders and members, so it is the
-    entry each would make alone. Each member is mapped once per triple:
-    neither map reads an order, so every pair's round-trip check
-    (``_roundtrip_pair``) reads the same images, which is the same check as
-    mapping it again."""
+    Every W, straight or skew, is checked both ways: the classical family on W
+    against the pictures W -> Z/Y over base y, and the two-family side on Z/Y
+    against the pictures Z/Y -> W over base W.inner. Each family is built
+    once per distinct order on its shape, and the pictures and their
+    round-trip checks run once per distinct (order on W, order on Z/Y) pair.
+    Specs that resolve to equal orders (ME and FE on one row, say) get that
+    pair's entry under their own names: every search and check is a pure
+    function of its shapes, orders and members, so it is the entry each would
+    make alone. Each member is mapped once per triple: neither map reads an
+    order, so every pair's round-trip check (``_roundtrip_pair``) reads the
+    same images, which is the same check as mapping it again."""
     y, z = as_partition(y), as_partition(z)
     w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
-    straight = not w_shape.inner
     zy = SkewShape(z, y)
     orders_w = [resolve_order(s, w_shape, seed) for s in specs]
     orders_zy = [resolve_order(s, zy, seed) for s in specs]
 
     # one family per distinct order on its shape
     b_sets = {o: glr_lr_tableaux(w_shape, y, z, order=o) for o in dict.fromkeys(orders_w)}
-    lr_sets = (
-        {o: glmn_lr_tableaux(y, w_shape.outer, z, order=o) for o in dict.fromkeys(orders_zy)}
-        if straight
-        else {}
-    )
+    lr_sets = {o: glmn_lr_tableaux(y, w_shape, z, order=o) for o in dict.fromkeys(orders_zy)}
 
     order_independent = _same_sets(b_sets.values()) and _same_sets(lr_sets.values())
 
-    identity_ok = not (identity and straight) or all(
-        is_glmn_lr_tableau(q, y, w_shape.outer, z, o) for o, lr_set in lr_sets.items() for q in lr_set
+    identity_ok = not identity or all(
+        is_glmn_lr_tableau(q, y, w_shape, z, o) for o, lr_set in lr_sets.items() for q in lr_set
     )
 
     pairs = list(zip(orders_w, orders_zy))
@@ -149,14 +149,11 @@ def check_triple(
         entry = {"pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
         if pictures:
             pics = enumerate_pictures(w_shape, zy, o_zy, o_w)
-            entry["pictures"] = len(pics)
-            ok = _roundtrip_pair(b_sets[o_w], pics, y, b_images) if roundtrips else None
-            if straight:
-                swapped = enumerate_pictures(zy, w_shape, o_w, o_zy)
-                entry["pictures_swapped"] = len(swapped)
-                if roundtrips:
-                    ok = ok and _roundtrip_pair(lr_sets[o_zy], swapped, (), lr_images)
-            entry["roundtrip_ok"] = ok
+            swapped = enumerate_pictures(zy, w_shape, o_w, o_zy)
+            entry["pictures"], entry["pictures_swapped"] = len(pics), len(swapped)
+            if roundtrips:
+                ok = _roundtrip_pair(b_sets[o_w], pics, y, b_images)
+                entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[o_zy], swapped, w_shape.inner, lr_images)
         per_pair[o_w, o_zy] = entry
     per_order = [{"order": s, **per_pair[pair]} for s, pair in zip(specs, pairs)]
 
@@ -165,7 +162,7 @@ def check_triple(
         "w": (w_shape.outer, w_shape.inner),
         "z": z,
         "c": len(b_sets[orders_w[0]]),
-        "n_super": len(lr_sets[orders_zy[0]]) if straight else None,
+        "n_super": len(lr_sets[orders_zy[0]]),
         "order_independent": order_independent,
         "identity_ok": identity_ok,
         "orders": per_order,
@@ -197,16 +194,8 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
-    tasks = [
-        (y, w if isinstance(w, SkewShape) else as_partition(w), z, *rest) for y, w, z in triples
-    ]
-
-    def _key(t):
-        y, w, z = t[:3]
-        flat = (1,) + w.outer + (-1,) + w.inner if isinstance(w, SkewShape) else (0,) + w
-        return (sum(z), z, y, flat)
-
-    tasks.sort(key=_key)
+    tasks = [(y, w if isinstance(w, SkewShape) else SkewShape(w), z, *rest) for y, w, z in triples]
+    tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))
     workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
     if workers <= 1:
         return [_worker(t) for t in tasks]
@@ -218,14 +207,10 @@ def run_sweep(
 
 def record_ok(rec: dict) -> bool:
     """Every count in the record agrees and every per-order check passed."""
-    counts = {rec["c"]}
-    if rec["n_super"] is not None:
-        counts.add(rec["n_super"])
+    counts = {rec["c"], rec["n_super"]}
     for entry in rec["orders"]:
         if entry["pictures"] is not None:
-            counts.add(entry["pictures"])
-        if entry["pictures_swapped"] is not None:
-            counts.add(entry["pictures_swapped"])
+            counts.update((entry["pictures"], entry["pictures_swapped"]))
         if entry["roundtrip_ok"] is False:
             return False
     return len(counts) == 1 and rec["order_independent"] and rec["identity_ok"]

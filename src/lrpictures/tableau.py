@@ -22,10 +22,6 @@ def bar(k: int) -> int:
     return -k
 
 
-def is_barred(e: int) -> bool:
-    return e < 0
-
-
 def entry_key(e: int):
     """Sort key realizing 1 < ... < m < bar(1) < ... < bar(n)."""
     if e == 0:

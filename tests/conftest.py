@@ -27,6 +27,22 @@ def criterion_log():
     return _criteria
 
 
+@pytest.fixture
+def refuse_three_cell_members(monkeypatch):
+    """Make the sweeps' forward map refuse every 3-cell member, as it refuses
+    a reading that does not grow its base into a partition."""
+    from lrpictures import sweeps
+
+    real = sweeps.tableau_to_picture
+
+    def refusing(t, *args, **kw):
+        if t.shape.size == 3:
+            raise ValueError("reading word does not grow the base into a partition")
+        return real(t, *args, **kw)
+
+    monkeypatch.setattr(sweeps, "tableau_to_picture", refusing)
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _criteria.lines:
         return

@@ -190,6 +190,15 @@ def test_verify_exit_1_on_failure(capsys, monkeypatch):
     assert "0/" in err.splitlines()[-1]
 
 
+def test_verify_exit_1_when_a_member_maps_nowhere(capsys, refuse_three_cell_members):
+    # a verification failure, not bad input: exit 1, and the failing lines print
+    code, out, err = run(capsys, "verify", "roundtrip", "--max-size", "3")
+    assert code == 1
+    passed, total = map(int, err.splitlines()[-1].split()[-2].split("/"))
+    assert passed < total
+    assert '"roundtrip_ok":false' in out
+
+
 def test_order_file_is_honored(capsys, tmp_path):
     path = tmp_path / "order.json"
     # far-eastern order on the column (1,1), written out by hand

@@ -321,7 +321,8 @@ ORACLE_ORDERS = ("ME", "FE", "seed:5")
 def test_both_families_match_their_oracles_on_every_small_triple():
     # every straight triple and every skew w inside a 3x3 box, |z| <= 5, under
     # three orders; the library lists members in the oracle's (row-major
-    # lexicographic) order
+    # lexicographic) order. The dual family on Z/Y grows W.inner into W.outer:
+    # for a straight w it is also the content-and-lattice set
     triples = straight_triples(5) + [t for t in skew_w_triples(3, 3, 5, 5) if t[1].inner]
     for y, w, z in triples:
         sw = w if isinstance(w, SkewShape) else SkewShape(w)
@@ -330,10 +331,11 @@ def test_both_families_match_their_oracles_on_every_small_triple():
             order = resolve_order(spec, sw)
             ours = [filling_of(t) for t in glr_lr_tableaux(sw, y, z, order=order)]
             assert ours == glr_lr_oracle(sw, y, z, order, len(z)), (y, w, z, spec)
+            order = resolve_order(spec, zy)
+            ours = [filling_of(q) for q in glmn_lr_tableaux(y, w, z, order=order)]
+            assert ours == glr_lr_oracle(zy, sw.inner, sw.outer, order, len(sw.outer)), (y, w, z, spec)
             if not sw.inner:
-                order = resolve_order(spec, zy)
-                ours = [filling_of(q) for q in glmn_lr_tableaux(y, sw.outer, z, order=order)]
-                assert ours == glmn_lr_oracle(y, sw.outer, z, order), (y, w, z, spec)
+                assert ours == glmn_lr_oracle(y, w, z, order), (y, w, z, spec)
 
 
 def test_large_hook_triple():

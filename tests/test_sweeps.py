@@ -4,6 +4,7 @@ import pytest
 
 from lrpictures import sweeps
 from lrpictures.diagram import SkewShape
+from lrpictures.lr import glmn_lr_tableaux, is_glmn_lr_tableau
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.tableau import Tableau
 
@@ -64,13 +65,20 @@ def test_check_triple_on_the_worked_example():
 
 
 def test_check_triple_skew_w():
+    # a skew W is checked in both directions, like a straight one: the dual
+    # family on Z/Y = (2,1,1)/(1) grows W.inner = (1) into W.outer = (2,2)
     w = SkewShape((2, 2), (1,))
     rec = sweeps.check_triple((1,), w, (2, 1, 1), specs=("ME",))
-    assert rec["n_super"] is None
     assert rec["w"] == ((2, 2), (1,))
-    assert rec["orders"][0]["pictures_swapped"] is None
+    assert rec["c"] == rec["n_super"] == 1
+    assert rec["orders"][0]["pictures"] == rec["orders"][0]["pictures_swapped"] == 1
     assert rec["orders"][0]["roundtrip_ok"] is True
+    assert rec["identity_ok"]
     assert sweeps.record_ok(rec)
+    q = Tableau(SkewShape((2, 1, 1), (1,)), ((2,), (1,), (2,)))  # reading 2, 1, 2
+    assert glmn_lr_tableaux((1,), w, (2, 1, 1)) == (q,)
+    assert is_glmn_lr_tableau(q, (1,), w, (2, 1, 1))
+    assert not is_glmn_lr_tableau(q, (1,), (2, 1), (2, 1, 1))  # content (1, 2), not (2, 1)
 
 
 def test_check_triple_flags():
@@ -250,6 +258,12 @@ def test_roundtrip_catches_a_forward_map_that_merges_members(monkeypatch):
     assert _fails_every_order(monkeypatch)
 
 
+def test_a_member_that_maps_nowhere_fails_its_record(monkeypatch, refuse_three_cell_members):
+    # a member the forward map refuses does not map back: the record fails,
+    # and no error escapes the sweep
+    assert _fails_every_order(monkeypatch)
+
+
 def test_roundtrip_catches_a_repeated_picture(monkeypatch):
     # the count stays right, but one picture stands in for another, so only
     # the comparison of the images with the picture set sees it
@@ -316,16 +330,15 @@ def test_each_distinct_order_and_pair_is_searched_once(monkeypatch, seed):
         assert sweeps.record_ok(rec)
         on_w, on_zy, pairs = _distinct(y, w, z, ROUNDTRIP, seed)
         w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
-        straight = not w_shape.inner
         glr = [kw["order"] for _, kw in calls["glr_lr_tableaux"]]
         glmn = [kw["order"] for _, kw in calls["glmn_lr_tableaux"]]
         assert len(glr) == len(on_w) and set(glr) == on_w
-        assert (len(glmn), set(glmn)) == ((len(on_zy), on_zy) if straight else (0, set()))
+        assert len(glmn) == len(on_zy) and set(glmn) == on_zy
         # each call as (order on W, order on Z/Y), whichever shape it maps from
         searched = Counter(
             (a[3], a[2]) if a[0] == w_shape else (a[2], a[3]) for a, _ in calls["enumerate_pictures"]
         )
-        assert searched == {pair: 2 if straight else 1 for pair in pairs}
+        assert searched == {pair: 2 for pair in pairs}
 
 
 def test_different_orders_are_never_merged(monkeypatch):
