@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 when a verification finds a violated invariant,
 2 on malformed input or usage errors. All mathematical output goes to stdout
 as JSON (one object per line for enumerations and sweeps); identical inputs
-produce byte-identical output. Listings and sweeps write their first line on
-its own, so it leaves at once, and the rest in batches of lines, one write each.
+produce byte-identical output. Every command writes through one writer,
+``_write``: the first line on its own, so it leaves at once, and the rest in
+batches of 512 lines, one write each. The decomposition sweeps compute each
+line as they go, so their lines wait for their batch too.
 
 Order specs are ME, FE, seed:<n>, or @file.json holding an array of cells.
 """
@@ -89,10 +91,6 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps with options bu
 _BATCH = 512  # lines per write after the first
 
 
-def _emit(obj):
-    sys.stdout.write(_ENCODER.encode(obj) + "\n")
-
-
 def _write(lines):
     """Write ``lines`` (each ending in a newline) to stdout: the first on its
     own, then the rest joined in batches of ``_BATCH``, one write per batch."""
@@ -109,8 +107,9 @@ def _cmd_coeff(args) -> int:
         _parse_partition(args.y), _parse_partition(args.w), _parse_partition(args.z),
         args.m, args.n,
     )
-    _emit({"c": result.c, "n_super": result.n_super, "equal": result.c == result.n_super})
-    return 0 if result.c == result.n_super else 1
+    equal = result.c == result.n_super
+    _write([_ENCODER.encode({"c": result.c, "n_super": result.n_super, "equal": equal}) + "\n"])
+    return 0 if equal else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -186,20 +185,41 @@ def _cmd_render(args) -> int:
         out = render_shape(serialize.shape_from_obj(obj), args.render)
     else:
         raise InputError("input is not a partition, shape, tableau, or picture")
-    sys.stdout.write(out + "\n")
+    _write([out + "\n"])
     return 0
 
 
-def _sweep_lines(records, m=None, n=None):
+# the order specs each sweep that takes --orders checks when it is not given
+_SWEEP_ORDERS = {
+    "roundtrip": ("ME", "FE", "seed:0", "seed:1", "seed:2"),
+    "order-independence": ("ME", "FE", "seed:0", "seed:1", "seed:2", "seed:3", "seed:4"),
+}
+
+
+def _sweep_units(args, specs):
+    """One unit per triple: its line under each order spec, and whether it passed."""
+    triples = sweeps.straight_triples(args.max_size)
+    if args.what == "coefficients":
+        hooks = set(hook_partitions_up_to(args.max_size, args.m, args.n))
+        triples = [t for t in triples if hooks.issuperset(t)]
+    records = sweeps.run_sweep(
+        triples,
+        specs,
+        seed=args.seed,
+        roundtrips=args.what == "roundtrip",
+        identity=args.what == "coefficients",
+        pictures=args.what != "order-independence",
+        jobs=args.jobs,
+    )
     for rec in records:
         w_obj = list(rec["w"][0])  # every CLI sweep runs straight triples: W is its outer shape
-        for entry in rec["orders"]:
-            yield {
+        yield [
+            {
                 "y": list(rec["y"]),
                 "w": w_obj,
                 "z": list(rec["z"]),
-                "m": m,
-                "n": n,
+                "m": args.m,
+                "n": args.n,
                 "order": entry["order"],
                 "c": rec["c"],
                 "n_super": rec["n_super"],
@@ -207,71 +227,48 @@ def _sweep_lines(records, m=None, n=None):
                 "roundtrip_ok": entry["roundtrip_ok"],
                 "order_independent": rec["order_independent"],
             }
+            for entry in rec["orders"]
+        ], sweeps.record_ok(rec)
+
+
+def _decomposition_units(shapes, params: dict, check):
+    """One unit per pair of shapes: its report as a line, and whether it passed.
+    ``params`` are ``check``'s keyword arguments after the pair."""
+    for y in shapes:
+        for w in shapes:
+            report = check(y, w, **params)
+            yield [{"y": list(y), "w": list(w), **params, **report.to_obj()}], report.passed
 
 
 def _cmd_verify(args) -> int:
-    failures = 0
-    total = 0
-    if args.what in ("roundtrip", "order-independence", "coefficients"):
-        if args.what == "coefficients":
-            specs = ("ME",)
-            hooks = set(hook_partitions_up_to(args.max_size, args.m, args.n))
-            triples = [
-                (y, w, z)
-                for y, w, z in sweeps.straight_triples(args.max_size)
-                if y in hooks and w in hooks and z in hooks
-            ]
-            records = sweeps.run_sweep(
-                triples, specs, seed=args.seed, roundtrips=False, identity=True, jobs=args.jobs
-            )
-        else:
-            default = (
-                ("ME", "FE", "seed:0", "seed:1", "seed:2")
-                if args.what == "roundtrip"
-                else ("ME", "FE", "seed:0", "seed:1", "seed:2", "seed:3", "seed:4")
-            )
-            specs = tuple(args.orders.split(",")) if args.orders is not None else default
-            named = {sweeps.parse_order_spec(s) for s in specs}  # refuses an unknown spec first
-            if args.what == "order-independence" and len(named) < 2:
-                raise InputError(f"order-independence needs two distinct order specs, not {args.orders!r}")
-            records = sweeps.run_sweep(
-                sweeps.straight_triples(args.max_size),
-                specs,
-                seed=args.seed,
-                roundtrips=args.what == "roundtrip",
-                identity=False,
-                pictures=args.what == "roundtrip",
-                jobs=args.jobs,
-            )
-        _write(_ENCODER.encode(line) + "\n" for line in _sweep_lines(records, args.m, args.n))
-        for rec in records:
-            total += 1
-            if not sweeps.record_ok(rec):
-                failures += 1
-    # the two decomposition loops compute each line as they print it, so they
-    # write line by line: a batch would hold each line back until it filled
+    # every --orders rule runs here, before any output
+    if args.what in _SWEEP_ORDERS:
+        specs = tuple(args.orders.split(",")) if args.orders is not None else _SWEEP_ORDERS[args.what]
+        named = {sweeps.parse_order_spec(s) for s in specs}  # refuses an unknown spec first
+        if args.what == "order-independence" and len(named) < 2:
+            raise InputError(f"order-independence needs two distinct order specs, not {args.orders!r}")
+        units = _sweep_units(args, specs)
+    elif args.orders is not None:
+        raise InputError(f"{args.what} takes no --orders")
+    elif args.what == "coefficients":
+        units = _sweep_units(args, ("ME",))
     elif args.what == "decomposition-glr":
-        shapes = [p for p in partitions_up_to(args.max_size, max_rows=args.r)]
-        for y in shapes:
-            for w in shapes:
-                total += 1
-                report = verify_decomposition_glr(y, w, args.r)
-                line = {"y": list(y), "w": list(w), "r": args.r}
-                line.update(report.to_obj())
-                _emit(line)
-                if not report.passed:
-                    failures += 1
+        shapes = partitions_up_to(args.max_size, max_rows=args.r)
+        units = _decomposition_units(shapes, {"r": args.r}, verify_decomposition_glr)
     else:
         shapes = hook_partitions_up_to(args.max_size, args.m, args.n)
-        for y in shapes:
-            for w in shapes:
-                total += 1
-                report = verify_decomposition_glmn(y, w, args.m, args.n)
-                line = {"y": list(y), "w": list(w), "m": args.m, "n": args.n}
-                line.update(report.to_obj())
-                _emit(line)
-                if not report.passed:
-                    failures += 1
+        units = _decomposition_units(shapes, {"m": args.m, "n": args.n}, verify_decomposition_glmn)
+    total = failures = 0
+
+    def lines():
+        nonlocal total, failures
+        for objs, passed in units:
+            total += 1
+            failures += not passed
+            for obj in objs:
+                yield _ENCODER.encode(obj) + "\n"
+
+    _write(lines())
     if total == 0:
         raise InputError(f"{args.what} --max-size {args.max_size} has nothing to check")
     print(f"{args.what}: {total - failures}/{total} ok", file=sys.stderr)
@@ -343,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--orders", help="comma list of ME | FE | seed:<n>")
+    p.add_argument("--orders", help="comma list of ME | FE | seed:<n>; roundtrip and order-independence only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--m", type=int, default=2)

@@ -8,6 +8,7 @@ import pytest
 
 import lrpictures
 from lrpictures import cli, sweeps
+from lrpictures.crystal import DecompositionReport
 
 SRC = str(Path(lrpictures.__file__).resolve().parents[1])
 
@@ -371,6 +372,31 @@ def test_order_independence_names_an_unknown_spec(capsys, orders):
     assert "unknown order spec 'bogus'" in err
 
 
+@pytest.mark.parametrize("what", ["coefficients", "decomposition-glr", "decomposition-glmn"])
+def test_verify_refuses_orders_where_unused(capsys, what):
+    code, out, err = run(capsys, "verify", what, "--max-size", "2", "--orders", "ME")
+    assert code == 2
+    assert out == ""
+    assert f"{what} takes no --orders" in err
+
+
+def test_verify_counts_a_decomposition_failure(capsys, monkeypatch):
+    real = cli.verify_decomposition_glr
+
+    def fail_one_pair(y, w, r):
+        report = real(y, w, r)
+        if (y, w) != ((1,), (1,)):
+            return report
+        return DecompositionReport(report.lhs_card, report.rhs_card, report.per_shape, False)
+
+    monkeypatch.setattr(cli, "verify_decomposition_glr", fail_one_pair)
+    code, out, err = run(capsys, "verify", "decomposition-glr", "--max-size", "2", "--r", "2")
+    assert code == 1
+    records = lines(out)
+    assert err.splitlines()[-1] == f"decomposition-glr: {len(records) - 1}/{len(records)} ok"
+    assert [(rec["y"], rec["w"]) for rec in records if not rec["pass"]] == [([1], [1])]
+
+
 @pytest.mark.parametrize("spec", ["seed:x", "seed:"])
 def test_bad_seed_spec_is_named(capsys, spec):
     code, out, err = run(capsys, "verify", "roundtrip", "--max-size", "2", "--orders", spec)
@@ -426,6 +452,16 @@ def test_closed_stdout_is_not_a_failure():
     assert code != 1
 
 
+class WriteRecorder:
+    """A stand-in for ``sys.stdout`` that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
 B = cli._BATCH
 
 
@@ -433,20 +469,31 @@ B = cli._BATCH
     "count, writes", [(0, 0), (1, 1), (2, 2), (B, 2), (B + 1, 2), (B + 2, 3), (2 * B + 2, 4)]
 )
 def test_write_sends_the_first_line_alone_then_batches(count, writes, monkeypatch):
-    class Stdout:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, text):
-            self.writes.append(text)
-
-    out = Stdout()
+    out = WriteRecorder()
     monkeypatch.setattr(sys, "stdout", out)
     given = [f"line {k}\n" for k in range(count)]
     cli._write(iter(given))
     assert "".join(out.writes) == "".join(given)
     assert out.writes[:1] == given[:1]
     assert len(out.writes) == writes
+
+
+def test_every_command_writes_through_one_writer(monkeypatch, tmp_path):
+    # 144 lines leave in two writes: the first line alone, then one batch
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.run(["verify", "decomposition-glmn", "--max-size", "4", "--m", "2", "--n", "1"]) == 0
+    assert len(out.writes) == 2
+    assert out.writes[0].count("\n") == 1
+    assert "".join(out.writes).count("\n") == 144
+    out.writes.clear()
+    assert cli.run(["coeff", "--y", "1", "--w", "1", "--z", "2", "--m", "1", "--n", "1"]) == 0
+    assert out.writes == ['{"c":1,"n_super":1,"equal":true}\n']
+    out.writes.clear()
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps([2, 1]))
+    assert cli.run(["render", "--input", str(path)]) == 0
+    assert len(out.writes) == 1
 
 
 def test_cli_import_leaves_numpy_and_numba_out():
