@@ -1,12 +1,15 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 when a verification finds a violated invariant,
-2 on malformed input or usage errors. All mathematical output goes to stdout
-as JSON (one object per line for enumerations and sweeps); identical inputs
-produce byte-identical output. Every command writes through one writer,
-``_write``: the first line on its own, so it leaves at once, and the rest in
-batches of 512 lines, one write each. The decomposition sweeps compute each
-line as they go, so their lines wait for their batch too.
+2 on malformed input or usage errors. Each command, map and verify mode takes
+only the options it reads, spelled in full after its name (psi requires --y);
+any other option is a usage error, refused before any output. All
+mathematical output goes to stdout as JSON (one object per line for
+enumerations and sweeps); identical inputs produce byte-identical output.
+Every command writes through one writer, ``_write``: the first line on its
+own, so it leaves at once, and the rest in batches of 512 lines, one write
+each. The decomposition sweeps compute each line as they go, so their lines
+wait for their batch too.
 
 Order specs are ME, FE, seed:<n>, or @file.json holding an array of cells.
 """
@@ -150,10 +153,7 @@ def _cmd_map(args) -> int:
         _check_flag("y", args.y, p.codomain.inner)
         _write(serialize.tableau_lines([picture_to_tableau(p, verify=True)]))
     elif args.name == "psi":
-        t = serialize.tableau_from_obj(obj)
-        if args.y is None:
-            raise InputError("psi needs --y (the inner shape of the target)")
-        p = tableau_to_picture(t, _parse_partition(args.y), verify=True)
+        p = tableau_to_picture(serialize.tableau_from_obj(obj), _parse_partition(args.y), verify=True)
         _check_flag("z", args.z, p.codomain.outer)
         _write(serialize.picture_lines([p]))
     elif args.name == "psitilde":
@@ -196,16 +196,16 @@ _SWEEP_ORDERS = {
 }
 
 
-def _sweep_units(args, specs):
+def _sweep_units(args, specs, seed: int, m: int, n: int):
     """One unit per triple: its line under each order spec, and whether it passed."""
     triples = sweeps.straight_triples(args.max_size)
     if args.what == "coefficients":
-        hooks = set(hook_partitions_up_to(args.max_size, args.m, args.n))
+        hooks = set(hook_partitions_up_to(args.max_size, m, n))
         triples = [t for t in triples if hooks.issuperset(t)]
     records = sweeps.run_sweep(
         triples,
         specs,
-        seed=args.seed,
+        seed=seed,
         roundtrips=args.what == "roundtrip",
         identity=args.what == "coefficients",
         pictures=args.what != "order-independence",
@@ -218,8 +218,8 @@ def _sweep_units(args, specs):
                 "y": list(rec["y"]),
                 "w": w_obj,
                 "z": list(rec["z"]),
-                "m": args.m,
-                "n": args.n,
+                "m": m,
+                "n": n,
                 "order": entry["order"],
                 "c": rec["c"],
                 "n_super": rec["n_super"],
@@ -247,11 +247,9 @@ def _cmd_verify(args) -> int:
         named = {sweeps.parse_order_spec(s) for s in specs}  # refuses an unknown spec first
         if args.what == "order-independence" and len(named) < 2:
             raise InputError(f"order-independence needs two distinct order specs, not {args.orders!r}")
-        units = _sweep_units(args, specs)
-    elif args.orders is not None:
-        raise InputError(f"{args.what} takes no --orders")
+        units = _sweep_units(args, specs, args.seed, 2, 2)  # m, n: fixed fields of lines that check no hook
     elif args.what == "coefficients":
-        units = _sweep_units(args, ("ME",))
+        units = _sweep_units(args, ("ME",), 0, args.m, args.n)  # the hook bounds; ME reads no seed
     elif args.what == "decomposition-glr":
         shapes = partitions_up_to(args.max_size, max_rows=args.r)
         units = _decomposition_units(shapes, {"r": args.r}, verify_decomposition_glr)
@@ -275,8 +273,30 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Knows each option only by its full name; its subparsers are _Parsers too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
+# the options each map and each verify mode reads, besides --input and --max-size: no others
+_MAP_OPTIONS = {"phi": "yz", "psi": "yz", "phitilde": "yz", "psitilde": "yz", "phihat": "ywz", "omega": ""}
+_VERIFY_OPTIONS = {
+    **dict.fromkeys(_SWEEP_ORDERS, ("orders", "seed", "jobs")),
+    "coefficients": ("m", "n", "jobs"),
+    "decomposition-glr": ("r",),
+    "decomposition-glmn": ("m", "n"),
+}
+_OPTIONS = {
+    "orders": {"help": "comma list of ME | FE | seed:<n>"},
+    "jobs": {"type": positive_int, "default": 1},
+    **{name: {"type": int, "default": default} for name, default in (("seed", 0), ("m", 2), ("n", 2), ("r", 3))},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lrpictures",
         description="Littlewood-Richardson tableaux, pictures, and the bijections between them.",
     )
@@ -321,31 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("map", help="apply one of the bijections to a JSON value")
-    p.add_argument("name", choices=["phi", "psi", "phitilde", "psitilde", "phihat", "omega"])
-    p.add_argument("--input", required=True, help="JSON file, or - for stdin")
-    p.add_argument("--y")
-    p.add_argument("--w")
-    p.add_argument("--z")
+    maps = p.add_subparsers(dest="name", required=True)
+    for name, shapes in _MAP_OPTIONS.items():
+        q = maps.add_parser(name)
+        q.add_argument("--input", required=True, help="JSON file, or - for stdin")
+        for shape in shapes:
+            q.add_argument(f"--{shape}", required=(name, shape) == ("psi", "y"))  # psi's target's inner shape
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    p.add_argument(
-        "what",
-        choices=[
-            "roundtrip",
-            "order-independence",
-            "coefficients",
-            "decomposition-glr",
-            "decomposition-glmn",
-        ],
-    )
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--orders", help="comma list of ME | FE | seed:<n>; roundtrip and order-independence only")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=3)
+    modes = p.add_subparsers(dest="what", required=True)
+    for what, options in _VERIFY_OPTIONS.items():
+        q = modes.add_parser(what)
+        q.add_argument("--max-size", type=int, required=True)
+        for option in options:
+            q.add_argument(f"--{option}", **_OPTIONS[option])
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw a shape, tableau, or picture")

@@ -198,16 +198,8 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     return DecompositionReport(lhs_card, rhs_card, per_shape, passed)
 
 
-def glr_summand_shapes(y, w, r: int) -> dict[Partition, int]:
-    """Multiset of shapes from the reading-replay route (one admissible order)."""
-    y, w = as_partition(y), as_partition(w)
-    sw = SkewShape(w)
-    return dict(_grown_shapes(y, _reading_words(sw, r, middle_eastern(sw))))
-
-
 __all__ = [
     "DecompositionReport",
-    "glr_summand_shapes",
     "is_highest_weight",
     "lower",
     "raise_",

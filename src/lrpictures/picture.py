@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import Cell, SkewShape, _integers
+from .diagram import SkewShape, _integers
 from .reading import AdmissibleOrder, is_admissible
 
 
@@ -57,9 +57,6 @@ class Picture:
     @property
     def backward(self) -> dict:
         return dict(zip(self.images, self.domain.cells()))
-
-    def __call__(self, cell: Cell) -> Cell:
-        return self.forward[cell]
 
     def __eq__(self, other):
         return self is other or (

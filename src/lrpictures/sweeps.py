@@ -98,6 +98,11 @@ def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
     return {images[t] for t in members} == set(pictures)
 
 
+def _refuse_roundtrips_without_pictures(roundtrips: bool, pictures: bool) -> None:
+    if roundtrips and not pictures:
+        raise ValueError("round-trips are checked against the pictures: pass roundtrips=False with pictures=False")
+
+
 def _same_sets(families) -> bool:
     """Every family holds the same members."""
     return len({frozenset(s) for s in families}) <= 1
@@ -125,7 +130,9 @@ def check_triple(
     function of its shapes, orders and members, so it is the entry each would
     make alone. Each member is mapped once per triple: neither map reads an
     order, so every pair's round-trip check (``_roundtrip_pair``) reads the
-    same images, which is the same check as mapping it again."""
+    same images, which is the same check as mapping it again. The round-trips
+    need the pictures, so ``roundtrips`` without ``pictures`` is refused."""
+    _refuse_roundtrips_without_pictures(roundtrips, pictures)
     y, z = as_partition(y), as_partition(z)
     w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
     zy = SkewShape(z, y)
@@ -193,6 +200,7 @@ def run_sweep(
         raise ValueError("at least one order spec is required")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    _refuse_roundtrips_without_pictures(roundtrips, pictures)
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
     tasks = [(y, w if isinstance(w, SkewShape) else SkewShape(w), z, *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))

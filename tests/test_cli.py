@@ -339,8 +339,8 @@ def test_vacuous_sweep_is_exit_2(capsys, what):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_exit_2(capsys, jobs):
-    # a worker count below 1 is bad input, whatever the sweep
-    for what in ("roundtrip", "decomposition-glr"):
+    # a worker count below 1 is bad input, whatever the sweep that takes --jobs
+    for what in ("roundtrip", "coefficients"):
         code, out, err = run(capsys, "verify", what, "--max-size", "2", "--jobs", jobs)
         assert code == 2
         assert out == ""
@@ -377,7 +377,66 @@ def test_verify_refuses_orders_where_unused(capsys, what):
     code, out, err = run(capsys, "verify", what, "--max-size", "2", "--orders", "ME")
     assert code == 2
     assert out == ""
-    assert f"{what} takes no --orders" in err
+    assert "unrecognized arguments: --orders ME" in err
+
+
+# the options each verify mode and each map reads, written out here apart from the parser
+VERIFY_READS = {
+    "roundtrip": {"--orders", "--seed", "--jobs"},
+    "order-independence": {"--orders", "--seed", "--jobs"},
+    "coefficients": {"--m", "--n", "--jobs"},
+    "decomposition-glr": {"--r"},
+    "decomposition-glmn": {"--m", "--n"},
+}
+MAP_READS = {
+    "phi": {"--y", "--z"},
+    "psi": {"--y", "--z"},
+    "phitilde": {"--y", "--z"},
+    "psitilde": {"--y", "--z"},
+    "phihat": {"--y", "--w", "--z"},
+    "omega": set(),
+}
+UNREAD = [
+    (("verify", what, "--max-size", "1"), option, "ME" if option == "--orders" else "1")
+    for what, reads in VERIFY_READS.items()
+    for option in sorted(set().union(*VERIFY_READS.values()) - reads)
+] + [
+    (("map", name, "--input", "-", *(("--y", "1") if name == "psi" else ())), option, "1")
+    for name, reads in MAP_READS.items()
+    for option in sorted({"--y", "--w", "--z"} - reads)
+]
+
+
+@pytest.mark.parametrize(("command", "option", "value"), UNREAD, ids=[f"{c[1]} {o}" for c, o, _ in UNREAD])
+def test_an_option_the_command_does_not_read_is_exit_2(capsys, command, option, value):
+    # each verify mode and each map takes only the options its code reads;
+    # any other is refused before anything is read or written
+    code, out, err = run(capsys, *command, option, value)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option} {value}" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        # once accepted: printed "m":5,"n":7 in every line, though round-trips check no hook
+        ("verify roundtrip --max-size 1 --m 5 --n 7 --r 9", "unrecognized arguments: --m 5 --n 7 --r 9"),
+        # once accepted: one process and no seed, whatever was asked
+        ("verify decomposition-glr --max-size 1 --jobs 2 --seed 4 --m 9", "unrecognized arguments: --jobs 2 --seed 4 --m 9"),
+        # no option is known by a prefix: --max was once read as --max-size
+        ("verify roundtrip --max 2", "required: --max-size"),
+        ("verify roundtrip --max-size 1 --max 2", "unrecognized arguments: --max 2"),
+        ("verify coefficients --max-size 1 --jo 2", "unrecognized arguments: --jo 2"),
+        # options follow the mode name
+        ("verify --max-size 1 roundtrip", "invalid choice: '1'"),
+    ],
+)
+def test_refused_command_lines_write_nothing(capsys, argv, named):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 def test_verify_counts_a_decomposition_failure(capsys, monkeypatch):

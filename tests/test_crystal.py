@@ -6,7 +6,6 @@ import strategies as sts
 from oracles import tensor_lower, tensor_raise
 from lrpictures.crystal import (
     DecompositionReport,
-    glr_summand_shapes,
     is_highest_weight,
     lower,
     raise_,
@@ -80,8 +79,8 @@ def test_weight():
 def test_three_fold_tensor_cube_of_the_line():
     # ((1) x (1)) x (1) with two rows available: one copy of (3), two of (2,1)
     total = {}
-    for mid, mult in glr_summand_shapes((1,), (1,), 2).items():
-        for z, k in glr_summand_shapes(mid, (1,), 2).items():
+    for mid, mult in verify_decomposition_glr((1,), (1,), 2).per_shape.items():
+        for z, k in verify_decomposition_glr(mid, (1,), 2).per_shape.items():
             total[z] = total.get(z, 0) + mult * k
     assert total == {(3,): 1, (2, 1): 2}
 

@@ -88,6 +88,15 @@ def test_check_triple_flags():
     assert sweeps.record_ok(rec)
 
 
+def test_roundtrips_without_pictures_are_refused():
+    # the round-trips are checked against the pictures, so asking for them
+    # without the pictures would skip them silently
+    with pytest.raises(ValueError, match="roundtrips=False"):
+        sweeps.check_triple((1,), (1,), (2,), specs=("ME",), pictures=False)
+    with pytest.raises(ValueError, match="roundtrips=False"):
+        sweeps.run_sweep([], specs=("ME",), pictures=False)
+
+
 def test_record_ok_spots_bad_counts():
     rec = sweeps.check_triple((1,), (1,), (2,), specs=("ME",))
     assert sweeps.record_ok(rec)
