@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
-from .diagram import Partition, SkewShape, _add_boxes, as_partition, is_hook, partitions_of
+from .diagram import Partition, SkewShape, _add_boxes, as_partition, is_hook, partition_contains, partitions_of
 from .lr import glmn_lr_tableaux
 from .reading import _check_word, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
@@ -184,7 +184,7 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     rhs: Counter = Counter()
     per_shape: dict[Partition, int] = {}
     for z in partitions_of(total):
-        if not is_hook(z, m, n):
+        if not (partition_contains(z, y) and is_hook(z, m, n)):  # the LR set is empty unless y fits in z
             continue
         mult = len(glmn_lr_tableaux(y, w, z))
         if mult == 0:

@@ -6,14 +6,17 @@ of shape W whose reading word, taken in an admissible order, grows Y into Z
 one box at a time. The two-family (super) side holds the semistandard skew
 fillings of Z/Y whose reading grows W.inner into W.outer (for a straight W:
 content W and a lattice reading); one pruned search builds both, for W
-straight or skew. The maps below realize both as picture sets and carry one
-family to the other; all of them are verified elementwise by brute-force
-enumeration in the test suite.
+straight or skew. The public functions cap that search at Z, one triple at a
+time; ``lr_families`` runs it free, for sweeps, and groups what it finds by
+the partition each member grows its start into. The maps below realize both
+as picture sets and carry one family to the other; all of them are verified
+elementwise by brute-force enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .diagram import SkewShape, _add_boxes, _nonnegative, _skew, as_partition, is_hook, partition_contains
 from .picture import Picture, is_admissible_picture
@@ -100,17 +103,26 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
     return _glmn_lr(shape, start, end, order, len(end))
 
 
-def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
+def _lr_fillings(shape, y, z, order, top):
     """The semistandard fillings of ``shape`` with entries at most ``top`` (at
     most ``len(z)``) whose reading in ``order`` grows ``y`` into ``z``, sorted
     by row-major entry vector.
 
+    With ``z`` None the search is free, for sweeps: no row of the grown
+    diagram is capped, ``top`` is ``len(y) + shape.size`` (room for every row
+    the growth can start), and the result maps each partition that some
+    filling grows ``y`` into to those fillings, sorted the same way. One free
+    search holds the families of every triple on its (shape, y, order).
+
     A depth-first loop fills the cells along ``order``, which puts a cell's
     right and upper neighbours (``order._right``, ``order._up``) first: they
     bound its entry from above and below. Letter v is tried only if a box in
-    row v keeps the grown diagram a partition inside ``z``.
+    row v keeps the grown diagram a partition, inside ``z`` when capped.
     """
-    if shape.size + sum(y) != sum(z) or not partition_contains(z, y):
+    free = z is None
+    if free:
+        z = (sum(y) + shape.size + 1,) * top  # a row no growth fills
+    elif shape.size + sum(y) != sum(z) or not partition_contains(z, y):
         return ()
     n = len(order)
     up, right, at = order._up, order._right, order._at
@@ -120,7 +132,7 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
     k, v = 0, 1
     while True:
         if k == n:
-            found.append(tuple([e[p] for p in at]))
+            found.append((tuple([e[p] for p in at]), tuple(rows)))
         else:
             hi = e[right[k]] if right[k] >= 0 else top
             while v <= hi and (rows[v - 1] == z[v - 1] or (v > 1 and rows[v - 2] == rows[v - 1])):
@@ -138,12 +150,31 @@ def _lr_fillings(shape, y, z, order, top) -> tuple[Tableau, ...]:
         rows[v - 1] -= 1
         v += 1
     found.sort()
-    return tuple([Tableau._build(shape, entries) for entries in found])
+    if not free:  # every filling grows y into z
+        return tuple([Tableau._build(shape, entries) for entries, _ in found])
+    groups = {}
+    for entries, end in found:
+        groups.setdefault(end, []).append(Tableau._build(shape, entries))
+    return MappingProxyType({as_partition(end): tuple(ts) for end, ts in groups.items()})
 
 
-# One cache for both families: a key they share names the same search. Both
-# names stay, as perfbench/record_corpus.py clears the caches by name.
+# One cache for both families and both modes: a key they share names the same
+# search. Both names stay, as perfbench/record_corpus.py clears the caches by name.
 _glr_lr = _glmn_lr = lru_cache(maxsize=1 << 17)(_lr_fillings)
+
+
+def lr_families(shape: SkewShape, start, order: AdmissibleOrder) -> MappingProxyType:
+    """Every LR family on ``shape`` from ``start`` at once, built for sweeps.
+
+    Maps each partition Z that some filling's reading grows the canonical
+    ``start`` into, under an ``order`` admissible on ``shape`` (not
+    checked), to the members in the order ``_lr_fillings`` sorts them. The
+    classical family of (y, W, z) is group z on (W, y); the two-family set is
+    group W.outer on (Z/Y, W.inner). One free search serves every triple on
+    its (shape, start, order), where a capped one would run per triple; a
+    single triple is cheaper through the capped public functions.
+    """
+    return _glmn_lr(shape, start, None, order, len(start) + shape.size)
 
 
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:

@@ -5,8 +5,10 @@ record covers one triple (y, W, z), W straight or skew, in both directions:
 both LR counts, both picture counts and both round-trips of the maps under
 every requested order spec, order-independence of the enumerated sets, and a
 membership check: every two-family LR tableau, in each order, has a reading
-that grows W.inner into W.outer. A family is built once per distinct order
-and the pictures once per distinct order pair, however many specs name them.
+that grows W.inner into W.outer. A family is read once per distinct order
+and the pictures are built once per distinct order pair, however many specs
+name them. The families come from ``lr.lr_families``: one free search per
+(shape, start, order), cached, serves every triple a sweep meets on it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import os
 
 from .diagram import SkewShape, as_partition, partitions_of, partitions_up_to, subdiagrams
-from .lr import glmn_lr_tableaux, glr_lr_tableaux, is_glmn_lr_tableau, picture_to_tableau, tableau_to_picture
+from .lr import is_glmn_lr_tableau, lr_families, picture_to_tableau, tableau_to_picture
 from .picture import enumerate_pictures
 from .reading import AdmissibleOrder, far_eastern, middle_eastern, random_admissible_order
 
@@ -98,7 +100,10 @@ def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
     return {images[t] for t in members} == set(pictures)
 
 
-def _refuse_roundtrips_without_pictures(roundtrips: bool, pictures: bool) -> None:
+def _refuse_bad_request(specs, roundtrips: bool, pictures: bool) -> None:
+    """The checks both drivers make before any work."""
+    if not specs:
+        raise ValueError("at least one order spec is required")
     if roundtrips and not pictures:
         raise ValueError("round-trips are checked against the pictures: pass roundtrips=False with pictures=False")
 
@@ -120,10 +125,14 @@ def check_triple(
 ) -> dict:
     """Run every per-triple verification; ``w`` may be a partition or a skew shape.
 
-    Every W, straight or skew, is checked both ways: the classical family on W
-    against the pictures W -> Z/Y over base y, and the two-family side on Z/Y
-    against the pictures Z/Y -> W over base W.inner. Each family is built
-    once per distinct order on its shape, and the pictures and their
+    Built for sweeps. Every W, straight or skew, is checked both ways: the
+    classical family on W against the pictures W -> Z/Y over base y, and the
+    two-family side on Z/Y against the pictures Z/Y -> W over base W.inner.
+    Each family is read once per distinct order on its shape, as group z of
+    ``lr_families(W, y, order)`` and group W.outer of ``lr_families(Z/Y,
+    W.inner, order)``. Those free searches are cached, so the other triples
+    of a sweep on the same shape and order, zero ones included, only look up
+    their group; one triple alone pays for every group. The pictures and their
     round-trip checks run once per distinct (order on W, order on Z/Y) pair.
     Specs that resolve to equal orders (ME and FE on one row, say) get that
     pair's entry under their own names: every search and check is a pure
@@ -131,17 +140,19 @@ def check_triple(
     make alone. Each member is mapped once per triple: neither map reads an
     order, so every pair's round-trip check (``_roundtrip_pair``) reads the
     same images, which is the same check as mapping it again. The round-trips
-    need the pictures, so ``roundtrips`` without ``pictures`` is refused."""
-    _refuse_roundtrips_without_pictures(roundtrips, pictures)
+    need the pictures, so ``roundtrips`` without ``pictures`` is refused, as
+    are empty ``specs``."""
+    _refuse_bad_request(specs, roundtrips, pictures)
     y, z = as_partition(y), as_partition(z)
     w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
     zy = SkewShape(z, y)
     orders_w = [resolve_order(s, w_shape, seed) for s in specs]
     orders_zy = [resolve_order(s, zy, seed) for s in specs]
 
-    # one family per distinct order on its shape
-    b_sets = {o: glr_lr_tableaux(w_shape, y, z, order=o) for o in dict.fromkeys(orders_w)}
-    lr_sets = {o: glmn_lr_tableaux(y, w_shape, z, order=o) for o in dict.fromkeys(orders_zy)}
+    # one family per distinct order on its shape, read from the search shared
+    # by every triple on that (shape, start, order)
+    b_sets = {o: lr_families(w_shape, y, o).get(z, ()) for o in dict.fromkeys(orders_w)}
+    lr_sets = {o: lr_families(zy, w_shape.inner, o).get(w_shape.outer, ()) for o in dict.fromkeys(orders_zy)}
 
     order_independent = _same_sets(b_sets.values()) and _same_sets(lr_sets.values())
 
@@ -196,11 +207,9 @@ def run_sweep(
 
     ``jobs`` caps the worker processes; no more start than there are CPUs or
     chunks of work, and with one the sweep runs in this process."""
-    if not specs:
-        raise ValueError("at least one order spec is required")
+    _refuse_bad_request(specs, roundtrips, pictures)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    _refuse_roundtrips_without_pictures(roundtrips, pictures)
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
     tasks = [(y, w if isinstance(w, SkewShape) else SkewShape(w), z, *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))

@@ -13,8 +13,9 @@ from lrpictures.crystal import (
     verify_decomposition_glr,
     weight,
 )
-from lrpictures.diagram import SkewShape, add_boxes
-from lrpictures.lr import glr_lr_tableaux
+from lrpictures import crystal
+from lrpictures.diagram import SkewShape, add_boxes, is_hook, partition_contains, partitions_of
+from lrpictures.lr import glmn_lr_tableaux, glr_lr_tableaux
 from lrpictures.reading import (
     far_eastern,
     is_lattice_permutation,
@@ -113,6 +114,24 @@ def test_glmn_decomposition_small():
     assert rep.passed
     assert rep.lhs_card == rep.rhs_card == 4
     assert rep.per_shape == {(2,): 1, (1, 1): 1}
+
+
+def test_glmn_decomposition_searches_only_the_z_that_contain_y(monkeypatch):
+    # a z without y in it has an empty LR set, so it costs no search
+    y, w, m, n = (2, 1), (2, 1), 2, 1
+    searched = []
+
+    def spied(y_, w_, z):
+        searched.append(z)
+        return glmn_lr_tableaux(y_, w_, z)
+
+    monkeypatch.setattr(crystal, "glmn_lr_tableaux", spied)
+    rep = verify_decomposition_glmn(y, w, m, n)
+    hooks = [z for z in partitions_of(6) if is_hook(z, m, n)]
+    assert searched == [z for z in hooks if partition_contains(z, y)]
+    assert len(searched) == len(hooks) - 2  # (6) and (1,1,1,1,1,1) do not hold (2,1)
+    assert rep.passed
+    assert rep.per_shape == {z: len(glmn_lr_tableaux(y, w, z)) for z in hooks if glmn_lr_tableaux(y, w, z)}
 
 
 def test_decomposition_report_fields_equality_and_object_form():

@@ -23,6 +23,7 @@ from lrpictures.lr import (
     is_glmn_lr_tableau,
     is_glr_lr_tableau,
     lr_coefficient,
+    lr_families,
     picture_to_tableau,
     tableau_to_picture,
 )
@@ -158,6 +159,33 @@ def test_lr_families_come_in_lexicographic_order(y, w, spec):
         assert increasing(glr_lr_tableaux(sw, y, z, order=make(sw)))
         if partition_contains(z, y):
             assert increasing(glmn_lr_tableaux(y, w, z, order=make(SkewShape(z, y))))
+
+
+def test_grouped_families_equal_the_capped_searches():
+    # one free search per (shape, start, order) holds, under each end
+    # partition, the family the capped search builds for it: the same
+    # members in the same order, and no group for any other partition
+    def check(shape, start, order, ends, capped):
+        expected = {end: capped(end) for end in ends}
+        assert lr_families(shape, start, order) == {end: ts for end, ts in expected.items() if ts}
+        return len(expected)
+
+    straight = {(y, w) for y, w, _ in straight_triples(7)}
+    skew = skew_w_triples(2, 3, 4, 6)
+    classical = [(SkewShape(w), y) for y, w in straight] + list({(w, y) for y, w, _ in skew})
+    dual = {(y, z, ()) for y, _, z in straight_triples(7)} | {(y, z, w.inner) for y, w, z in skew}
+    checked = 0
+    for spec in ("ME", "FE", "seed:0"):
+        for sw, y in classical:
+            o = resolve_order(spec, sw)
+            ends = partitions_of(sum(y) + sw.size)
+            checked += check(sw, y, o, ends, lambda z: glr_lr_tableaux(sw, y, z, order=o))
+        for y, z, inner in dual:
+            zy = SkewShape(z, y)
+            o = resolve_order(spec, zy)
+            ends = [e for e in partitions_of(zy.size + sum(inner)) if partition_contains(e, inner)]
+            checked += check(zy, inner, o, ends, lambda e: glmn_lr_tableaux(y, SkewShape(e, inner), z, order=o))
+    assert checked == 37608
 
 
 def test_membership_predicates_match_their_oracles():

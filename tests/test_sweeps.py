@@ -4,7 +4,7 @@ import pytest
 
 from lrpictures import sweeps
 from lrpictures.diagram import SkewShape
-from lrpictures.lr import glmn_lr_tableaux, is_glmn_lr_tableau
+from lrpictures.lr import glmn_lr_tableaux, glr_lr_tableaux, is_glmn_lr_tableau
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.tableau import Tableau
 
@@ -133,6 +133,12 @@ def test_run_sweep_rejects_empty_specs():
         sweeps.run_sweep([((), (), ())], specs=())
 
 
+def test_check_triple_rejects_empty_specs():
+    # a record needs one order to report its counts under
+    with pytest.raises(ValueError, match="at least one order spec is required"):
+        sweeps.check_triple((1,), (1,), (2,), specs=())
+
+
 def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
     started = []
 
@@ -177,10 +183,15 @@ def test_identity_check_fails_on_a_non_member(monkeypatch):
     y, w, z = (2, 1), (2, 1), (3, 2, 1)
     assert sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)["identity_ok"]
     outsider = Tableau(SkewShape(z, y), ((2,), (1,), (1,)))  # reading 2, 1, 1
-    real = sweeps.glmn_lr_tableaux
-    monkeypatch.setattr(
-        sweeps, "glmn_lr_tableaux", lambda *args, **kw: real(*args, **kw) + (outsider,)
-    )
+    real = sweeps.lr_families
+
+    def with_outsider(shape, start, order):
+        families = real(shape, start, order)
+        if shape != SkewShape(z, y):
+            return families
+        return {**families, w: families.get(w, ()) + (outsider,)}
+
+    monkeypatch.setattr(sweeps, "lr_families", with_outsider)
     rec = sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)
     assert not rec["identity_ok"]
     assert not sweeps.record_ok(rec)
@@ -218,8 +229,8 @@ def test_each_member_is_mapped_once_per_triple(monkeypatch):
         back.clear()
         rec = sweeps.check_triple(y, w, z, specs=ROUNDTRIP)
         assert sweeps.record_ok(rec)
-        members = [(t, y) for t in sweeps.glr_lr_tableaux(w, y, z)]
-        members += [(q, ()) for q in sweeps.glmn_lr_tableaux(y, w, z)]
+        members = [(t, y) for t in glr_lr_tableaux(w, y, z)]
+        members += [(q, ()) for q in glmn_lr_tableaux(y, w, z)]
         assert Counter(forward) == Counter(members)
         assert len(back) == len(members)
         mapped += len(members)
@@ -315,10 +326,10 @@ def test_each_spec_gets_the_entry_it_makes_alone(seed):
 
 
 def _spy_searches(monkeypatch):
-    """Wrap the three searches as ``sweeps`` holds them now; returns the lists
-    that get each call's positional and keyword arguments."""
+    """Wrap the LR and picture searches as ``sweeps`` holds them now; returns
+    the lists that get each call's positional and keyword arguments."""
     calls = {}
-    for name in ("enumerate_pictures", "glr_lr_tableaux", "glmn_lr_tableaux"):
+    for name in ("enumerate_pictures", "lr_families"):
         real, log = getattr(sweeps, name), calls.setdefault(name, [])
 
         def spied(*args, _real=real, _log=log, **kw):
@@ -339,10 +350,14 @@ def test_each_distinct_order_and_pair_is_searched_once(monkeypatch, seed):
         assert sweeps.record_ok(rec)
         on_w, on_zy, pairs = _distinct(y, w, z, ROUNDTRIP, seed)
         w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
-        glr = [kw["order"] for _, kw in calls["glr_lr_tableaux"]]
-        glmn = [kw["order"] for _, kw in calls["glmn_lr_tableaux"]]
-        assert len(glr) == len(on_w) and set(glr) == on_w
-        assert len(glmn) == len(on_zy) and set(glmn) == on_zy
+        # the classical searches on (W, y) come first, then the two-family
+        # ones on (Z/Y, W.inner): W and Z/Y may be one shape
+        families = [args for args, _ in calls["lr_families"]]
+        glr, glmn = families[: len(on_w)], families[len(on_w) :]
+        assert [a[:2] for a in glr] == [(w_shape, y)] * len(on_w)
+        assert [a[:2] for a in glmn] == [(SkewShape(z, y), w_shape.inner)] * len(on_zy)
+        assert len(glr) == len(on_w) and {a[2] for a in glr} == on_w
+        assert len(glmn) == len(on_zy) and {a[2] for a in glmn} == on_zy
         # each call as (order on W, order on Z/Y), whichever shape it maps from
         searched = Counter(
             (a[3], a[2]) if a[0] == w_shape else (a[2], a[3]) for a, _ in calls["enumerate_pictures"]
@@ -359,8 +374,12 @@ def test_different_orders_are_never_merged(monkeypatch):
     calls = _spy_searches(monkeypatch)
     rec = sweeps.check_triple(y, w, z, specs=("ME", "FE", "ME"))
     assert sweeps.record_ok(rec) and rec["c"] == 1
-    assert [kw["order"] for _, kw in calls["glr_lr_tableaux"]] == [middle_eastern(w_shape), far_eastern(w_shape)]
-    assert [kw["order"] for _, kw in calls["glmn_lr_tableaux"]] == [middle_eastern(zy), far_eastern(zy)]
+    assert [a for a, _ in calls["lr_families"]] == [
+        (w_shape, y, middle_eastern(w_shape)),
+        (w_shape, y, far_eastern(w_shape)),
+        (zy, (), middle_eastern(zy)),
+        (zy, (), far_eastern(zy)),
+    ]
     assert [a[2:] for a, _ in calls["enumerate_pictures"]] == [
         (middle_eastern(zy), middle_eastern(w_shape)),
         (middle_eastern(w_shape), middle_eastern(zy)),
