@@ -14,8 +14,8 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
-from .diagram import Partition, SkewShape, _add_boxes, as_partition, is_hook, partition_contains, partitions_of
-from .lr import glmn_lr_tableaux
+from .diagram import Partition, SkewShape, _add_boxes, _skew, as_partition, is_hook, partition_contains, partitions_of
+from .lr import lr_families
 from .reading import _check_word, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
 
@@ -168,7 +168,9 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     The weight multiset of all pairs of fillings of ``y`` and ``w`` must match
     the union, over hook shapes ``z`` of the right size, of ``N`` copies of the
     weight multiset of the fillings of ``z``, where ``N`` counts the two-family
-    LR tableaux of the triple.
+    LR tableaux of the triple: group ``w`` of the free search on (Z/Y, ()),
+    so one cached ``lr_families`` call per ``z`` that contains ``y`` serves
+    every ``w``.
     """
     y, w = as_partition(y), as_partition(w)
     for name, p in (("y", y), ("w", w)):
@@ -186,7 +188,8 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     for z in partitions_of(total):
         if not (partition_contains(z, y) and is_hook(z, m, n)):  # the LR set is empty unless y fits in z
             continue
-        mult = len(glmn_lr_tableaux(y, w, z))
+        zy = _skew(z, y)
+        mult = len(lr_families(zy, (), middle_eastern(zy)).get(w, ()))
         if mult == 0:
             continue
         per_shape[z] = mult

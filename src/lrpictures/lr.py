@@ -20,13 +20,7 @@ from types import MappingProxyType
 
 from .diagram import SkewShape, _add_boxes, _nonnegative, _skew, as_partition, is_hook, partition_contains
 from .picture import Picture, is_admissible_picture
-from .reading import (
-    AdmissibleOrder,
-    far_eastern,
-    is_admissible,
-    middle_eastern,
-    reading,
-)
+from .reading import AdmissibleOrder, far_eastern, is_admissible, middle_eastern
 from .tableau import Tableau, _p_indices, content, is_semistandard
 
 
@@ -50,7 +44,7 @@ def is_glr_lr_tableau(t: Tableau, y, z, order: AdmissibleOrder | None = None) ->
     order = _checked_order(t.shape, order)
     if _has_barred(t) or not is_semistandard(t):
         return False
-    return _add_boxes(y, reading(t, order)) == z
+    return _add_boxes(y, order._reader(t.entries)) == z
 
 
 def glr_lr_tableaux(
@@ -58,15 +52,18 @@ def glr_lr_tableaux(
 ) -> tuple[Tableau, ...]:
     """All members of the classical family over shape ``w`` for the pair (y, z).
 
-    Built directly by the pruned search ``_lr_fillings``. Every entry of a
-    member is a row of ``z``, so ``max_entry`` only matters below ``len(z)``,
-    where it keeps the members whose entries stay at or under it.
+    Built directly by the pruned search ``_lr_fillings``. Every member has
+    content z - y: it holds z_v - y_v entries v for each row v. So
+    ``max_entry`` keeps the whole family when no row of z/y past it holds a
+    box, and empties it when one does.
     """
     shape = w if isinstance(w, SkewShape) else SkewShape(w)
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
-    top = len(z) if max_entry is None else _nonnegative("max_entry", max_entry)
-    return _glr_lr(shape, y, z, order, min(top, len(z)))
+    k = len(z) if max_entry is None else _nonnegative("max_entry", max_entry)
+    if sum(z[k:]) > sum(y[k:]):  # a box of z/y below row k needs an entry past k
+        return ()
+    return _glr_lr(shape, y, z, order)
 
 
 def _ends(w) -> tuple[tuple, tuple]:
@@ -100,19 +97,19 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
         return ()
     shape = _skew(z, y)
     order = _checked_order(shape, order)
-    return _glmn_lr(shape, start, end, order, len(end))
+    return _glmn_lr(shape, start, end, order)
 
 
-def _lr_fillings(shape, y, z, order, top):
-    """The semistandard fillings of ``shape`` with entries at most ``top`` (at
-    most ``len(z)``) whose reading in ``order`` grows ``y`` into ``z``, sorted
-    by row-major entry vector.
+def _lr_fillings(shape, y, z, order):
+    """The semistandard fillings of ``shape`` whose reading in ``order`` grows
+    ``y`` into ``z``, sorted by row-major entry vector. Entries name the rows
+    that get a box, so they run up to ``len(z)``.
 
     With ``z`` None the search is free, for sweeps: no row of the grown
-    diagram is capped, ``top`` is ``len(y) + shape.size`` (room for every row
-    the growth can start), and the result maps each partition that some
-    filling grows ``y`` into to those fillings, sorted the same way. One free
-    search holds the families of every triple on its (shape, y, order).
+    diagram is capped, entries run up to ``len(y) + shape.size`` (room for
+    every row the growth can start), and the result maps each partition that
+    some filling grows ``y`` into to those fillings, sorted the same way. One
+    free search holds the families of every triple on its (shape, y, order).
 
     A depth-first loop fills the cells along ``order``, which puts a cell's
     right and upper neighbours (``order._right``, ``order._up``) first: they
@@ -121,9 +118,10 @@ def _lr_fillings(shape, y, z, order, top):
     """
     free = z is None
     if free:
-        z = (sum(y) + shape.size + 1,) * top  # a row no growth fills
+        z = (sum(y) + shape.size + 1,) * (len(y) + shape.size)  # rows no growth fills
     elif shape.size + sum(y) != sum(z) or not partition_contains(z, y):
         return ()
+    top = len(z)
     n = len(order)
     up, right, at = order._up, order._right, order._at
     rows = list(y) + [0] * (len(z) - len(y))
@@ -171,10 +169,11 @@ def lr_families(shape: SkewShape, start, order: AdmissibleOrder) -> MappingProxy
     checked), to the members in the order ``_lr_fillings`` sorts them. The
     classical family of (y, W, z) is group z on (W, y); the two-family set is
     group W.outer on (Z/Y, W.inner). One free search serves every triple on
-    its (shape, start, order), where a capped one would run per triple; a
-    single triple is cheaper through the capped public functions.
+    its (shape, start, order), in a sweep or a decomposition check, where a
+    capped one would run per triple; a single triple is cheaper through the
+    capped public functions.
     """
-    return _glmn_lr(shape, start, None, order, len(start) + shape.size)
+    return _glmn_lr(shape, start, None, order)
 
 
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:
@@ -199,7 +198,7 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
     the LR families.
     """
     base = as_partition(base)
-    word = reading(t, middle_eastern(t.shape))
+    word = middle_eastern(t.shape)._reader(t.entries)
     if any(v < 1 for v in word):
         raise ValueError("tableau_to_picture expects plain (unbarred) entries")
     outer = _add_boxes(base, word)

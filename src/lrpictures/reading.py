@@ -16,7 +16,7 @@ import random
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import Cell, SkewShape, _grow, _integers
+from .diagram import SkewShape, _grow, _integers
 from .tableau import Tableau
 
 
@@ -53,14 +53,8 @@ class AdmissibleOrder:
         self._reader = itemgetter(*picks) if len(picks) > 1 else tuple
         self._hash = hash(cells)  # orders key the search caches, so hash them once
 
-    def rank(self, cell: Cell) -> int:
-        return self._rank[cell]
-
     def __len__(self):
         return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
 
     def __eq__(self, other):
         return self is other or (

@@ -6,9 +6,10 @@ both LR counts, both picture counts and both round-trips of the maps under
 every requested order spec, order-independence of the enumerated sets, and a
 membership check: every two-family LR tableau, in each order, has a reading
 that grows W.inner into W.outer. A family is read once per distinct order
-and the pictures are built once per distinct order pair, however many specs
-name them. The families come from ``lr.lr_families``: one free search per
-(shape, start, order), cached, serves every triple a sweep meets on it.
+and the pictures W -> Z/Y are searched once per distinct order pair, however
+many specs name them; the pictures Z/Y -> W are their inverses. The families
+come from ``lr.lr_families``: one free search per (shape, start, order),
+cached, serves every triple a sweep meets on it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 
 from .diagram import SkewShape, as_partition, partitions_of, partitions_up_to, subdiagrams
 from .lr import is_glmn_lr_tableau, lr_families, picture_to_tableau, tableau_to_picture
-from .picture import enumerate_pictures
+from .picture import enumerate_pictures, omega
 from .reading import AdmissibleOrder, far_eastern, middle_eastern, random_admissible_order
 
 DEFAULT_ORDERS = ("ME", "FE")
@@ -132,8 +133,10 @@ def check_triple(
     ``lr_families(W, y, order)`` and group W.outer of ``lr_families(Z/Y,
     W.inner, order)``. Those free searches are cached, so the other triples
     of a sweep on the same shape and order, zero ones included, only look up
-    their group; one triple alone pays for every group. The pictures and their
-    round-trip checks run once per distinct (order on W, order on Z/Y) pair.
+    their group; one triple alone pays for every group. Once per distinct
+    (order on W, order on Z/Y) pair, the pictures W -> Z/Y are searched, the
+    pictures Z/Y -> W taken as their inverses (``omega``: the inverse of a
+    picture is a picture for the swapped pair), and both round-trips checked.
     Specs that resolve to equal orders (ME and FE on one row, say) get that
     pair's entry under their own names: every search and check is a pure
     function of its shapes, orders and members, so it is the entry each would
@@ -167,7 +170,7 @@ def check_triple(
         entry = {"pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
         if pictures:
             pics = enumerate_pictures(w_shape, zy, o_zy, o_w)
-            swapped = enumerate_pictures(zy, w_shape, o_w, o_zy)
+            swapped = [omega(p) for p in pics]
             entry["pictures"], entry["pictures_swapped"] = len(pics), len(swapped)
             if roundtrips:
                 ok = _roundtrip_pair(b_sets[o_w], pics, y, b_images)

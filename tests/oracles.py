@@ -4,13 +4,16 @@ Everything here is written straight from the defining conditions as
 filter-the-universe searches, sharing no logic with the package enumerators
 (only the plain data containers), so agreement between the two routes is
 evidence, not tautology. The one composite, ``companion_tableau_via_pictures``,
-reaches ``companion_tableau``'s answer through three other library maps.
+reaches ``companion_tableau``'s answer through three other library maps. The
+counting formulas (hook length, hook content, and the Aitken and Jacobi-Trudi
+determinants) list nothing, so they reach sizes no filter can.
 """
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 from lrpictures.diagram import SkewShape
 from lrpictures.lr import picture_to_tableau, tableau_to_picture
@@ -138,6 +141,59 @@ def syt_count_oracle(shape):
         for j in range(r):
             hooks *= (r - j - 1) + (cols[j] - i - 1) + 1
     return factorial(sum(rows)) // hooks
+
+
+def hook_content_oracle(shape, r):
+    """s_λ(1^r), the semistandard fillings of the partition ``shape`` with
+    entries 1..r, by the hook-content formula: the product over the cells
+    (i, j) of (r + j - i) / (hook length)."""
+    rows = [x for x in shape if x]
+    cols = [sum(1 for x in rows if x > j) for j in range(rows[0])] if rows else []
+    out = Fraction(1)
+    for i, x in enumerate(rows):
+        for j in range(x):
+            out *= Fraction(r + j - i, (x - j - 1) + (cols[j] - i - 1) + 1)
+    return out
+
+
+def _det(matrix):
+    """The determinant of a square matrix, by exact Fraction elimination."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            if f:
+                for j in range(k, len(m)):
+                    m[i][j] -= f * m[k][j]
+    return det
+
+
+def _skew_determinant(z, y, entry):
+    """det[entry(z_i - y_j - i + j)] over the rows of ``z``, ``y`` padded with 0s."""
+    y = tuple(y) + (0,) * (len(z) - len(y))
+    return _det([[entry(z[i] - y[j] - i + j) for j in range(len(z))] for i in range(len(z))])
+
+
+def aitken_oracle(z, y):
+    """f^{z/y}, the standard fillings of z/y, by Aitken's determinant:
+    |z/y|! det[1/(z_i - y_j - i + j)!], with 1/k! = 0 for k < 0."""
+    det = _skew_determinant(z, y, lambda k: Fraction(1, factorial(k)) if k >= 0 else 0)
+    return factorial(sum(z) - sum(y)) * det
+
+
+def jacobi_trudi_oracle(z, y, r):
+    """s_{z/y}(1^r), the semistandard fillings of z/y with entries 1..r
+    (r >= 1), by Jacobi-Trudi: det[h_k(1^r)] with k = z_i - y_j - i + j,
+    where h_k(1^r) = C(r + k - 1, k), and 0 for k < 0."""
+    return _skew_determinant(z, y, lambda k: comb(r + k - 1, k) if k >= 0 else 0)
 
 
 def subdiagrams_oracle(z):

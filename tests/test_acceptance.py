@@ -7,9 +7,11 @@ stated. The heavy sweeps are shared across tests through session fixtures.
 
 import random
 import time
+from collections import defaultdict
 
 import pytest
 
+from oracles import aitken_oracle, hook_content_oracle, jacobi_trudi_oracle, syt_count_oracle
 from lrpictures import sweeps
 from lrpictures.crystal import (
     is_highest_weight,
@@ -132,6 +134,38 @@ def test_coefficient_identity_small_hooks(criterion_log, hook_sweep):
     )
     assert counts_ok
     assert elapsed < 300.0
+
+
+def test_counts_satisfy_the_determinant_identities(criterion_log, hook_sweep):
+    # tableau-free: for each (z, y), every count summed over w, weighted by
+    # f^w and by s_w(1^r), gives Aitken's f^{z/y} and Jacobi-Trudi's s_{z/y}(1^r)
+    records, _ = hook_sweep
+    sums = defaultdict(list)  # (z, y) -> per record, (w, its counts)
+    for rec in records:
+        counts = [rec["c"], rec["n_super"]]
+        for entry in rec["orders"]:
+            counts += [entry["pictures"], entry["pictures_swapped"]]
+        sums[rec["z"], rec["y"]].append((rec["w"][0], counts))
+    bad = []
+    for (z, y), rows in sums.items():
+        checks = [(syt_count_oracle, aitken_oracle(z, y))]
+        checks += [
+            (lambda w, r=r: hook_content_oracle(w, r), jacobi_trudi_oracle(z, y, r))
+            for r in (len(z) + 1, len(z) + 2)
+        ]
+        for weight, target in checks:
+            weighted = [(weight(w), counts) for w, counts in rows]
+            # one column per count: c, n_super, then both picture counts per order
+            if any(sum(x * counts[i] for x, counts in weighted) != target for i in range(len(rows[0][1]))):
+                bad.append((z, y))
+    ok = not bad and len(sums) == 862
+    criterion_log.record(
+        "determinant identities: Aitken and Jacobi-Trudi at 1^r hold for every count, to size 8",
+        ok,
+        f"{len(sums)} (z, y) pairs",
+    )
+    assert not bad
+    assert len(sums) == 862  # every y inside every z with |z| <= 8
 
 
 def test_roundtrips_on_the_hook_sweep(criterion_log, hook_sweep):

@@ -117,18 +117,21 @@ def test_glmn_decomposition_small():
 
 
 def test_glmn_decomposition_searches_only_the_z_that_contain_y(monkeypatch):
-    # a z without y in it has an empty LR set, so it costs no search
+    # a z without y in it has an empty LR set, so it costs no search; each
+    # z that holds y costs one free search on Z/Y, which serves every w
     y, w, m, n = (2, 1), (2, 1), 2, 1
     searched = []
+    real = crystal.lr_families
 
-    def spied(y_, w_, z):
-        searched.append(z)
-        return glmn_lr_tableaux(y_, w_, z)
+    def spied(shape, start, order):
+        searched.append((shape, start))
+        return real(shape, start, order)
 
-    monkeypatch.setattr(crystal, "glmn_lr_tableaux", spied)
+    monkeypatch.setattr(crystal, "lr_families", spied)
     rep = verify_decomposition_glmn(y, w, m, n)
     hooks = [z for z in partitions_of(6) if is_hook(z, m, n)]
-    assert searched == [z for z in hooks if partition_contains(z, y)]
+    assert searched == [(SkewShape(z, y), ()) for z in hooks if partition_contains(z, y)]
+    assert not hasattr(crystal, "glmn_lr_tableaux")  # the capped search is not on this path
     assert len(searched) == len(hooks) - 2  # (6) and (1,1,1,1,1,1) do not hold (2,1)
     assert rep.passed
     assert rep.per_shape == {z: len(glmn_lr_tableaux(y, w, z)) for z in hooks if glmn_lr_tableaux(y, w, z)}

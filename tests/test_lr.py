@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 import strategies as sts
 from oracles import (
+    aitken_oracle,
     companion_tableau_via_pictures,
     filling_of,
     glmn_lr_oracle,
     glr_lr_oracle,
+    hook_content_oracle,
+    jacobi_trudi_oracle,
     p_index_oracle,
     ssyt_oracle,
+    syt_count_oracle,
 )
-from lrpictures.diagram import SkewShape, partition_contains, partitions_of
+from lrpictures.diagram import SkewShape, partition_contains, partitions_of, partitions_up_to, subdiagrams
 from lrpictures.lr import (
     LRCoefficient,
     companion_tableau,
@@ -218,6 +222,19 @@ def test_negative_max_entry_is_refused():
     assert glr_lr_tableaux(SkewShape((1,)), (1,), (2,), max_entry=0) == ()
 
 
+def test_max_entry_keeps_the_whole_family_or_nothing():
+    # a member holds z_v - y_v entries v, so it has an entry past k exactly
+    # when some row of z/y past row k holds a box; then no member survives
+    for y, w, z in straight_triples(6):
+        sw = SkewShape(w)
+        family = glr_lr_tableaux(sw, y, z)
+        padded = y + (0,) * (len(z) - len(y))
+        for k in range(len(z) + 1):
+            got = glr_lr_tableaux(sw, y, z, max_entry=k)
+            assert got == tuple(t for t in family if max(t.entries, default=0) <= k)
+            assert got == (() if any(a > b for a, b in zip(z[k:], padded[k:])) else family)
+
+
 def test_order_must_be_admissible():
     from lrpictures import serialize
     from lrpictures.reading import AdmissibleOrder
@@ -416,3 +433,35 @@ def test_membership_of_a_tableau_with_a_barred_entry():
     assert not is_glr_lr_tableau(t, (), (2,))
     assert not is_glmn_lr_tableau(t, (), (2,), (2,))
     assert not is_glmn_lr_tableau(from_rows([[-1]], inner=(1,)), (1,), (1,), (2,))
+
+
+def test_determinant_oracles_count_fillings():
+    # the oracles below against brute force: s_{z/y}(1^r) counts the
+    # semistandard fillings with entries 1..r, f^{z/y} the standard ones
+    for z in partitions_up_to(5):
+        for y in subdiagrams(z):
+            zy = SkewShape(z, y)
+            for r in (1, 2, 3):
+                assert jacobi_trudi_oracle(z, y, r) == len(ssyt_oracle(zy, r))
+                if not y:
+                    assert hook_content_oracle(z, r) == jacobi_trudi_oracle(z, y, r)
+            standard = [f for f in ssyt_oracle(zy, zy.size) if len(set(f.values())) == zy.size]
+            assert aitken_oracle(z, y) == len(standard)
+
+
+def test_lr_families_satisfy_the_determinant_identities():
+    # tableau-free checks of every c with |z| <= 10, as group w of the free
+    # search on (Z/Y, ()): summed over w, c f^w gives Aitken's f^{z/y}, and
+    # c s_w(1^r) gives Jacobi-Trudi's s_{z/y}(1^r). f^w cannot tell w from
+    # its conjugate; s_w(1^r) can
+    pairs = 0
+    for z in partitions_up_to(10):
+        for y in subdiagrams(z):
+            zy = SkewShape(z, y)
+            c = {w: len(ts) for w, ts in lr_families(zy, (), middle_eastern(zy)).items()}
+            assert sum(k * syt_count_oracle(w) for w, k in c.items()) == aitken_oracle(z, y), (z, y)
+            for r in (len(z) + 1, len(z) + 2):
+                s = sum(k * hook_content_oracle(w, r) for w, k in c.items())
+                assert s == jacobi_trudi_oracle(z, y, r), (z, y, r)
+            pairs += 1
+    assert pairs == 2888

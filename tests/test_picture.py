@@ -19,6 +19,7 @@ from lrpictures.picture import (
     omega,
 )
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
+from lrpictures.sweeps import resolve_order, skew_w_triples, straight_triples
 
 
 DOM = SkewShape((2, 2))
@@ -258,6 +259,20 @@ def test_omega_bijects_the_two_picture_sets(x, y):
 def _strip(n):
     """The n-cell staircase strip (n, ..., 1)/(n - 1, ..., 1): an antichain."""
     return SkewShape(tuple(range(n, 0, -1)), tuple(range(n - 1, 0, -1)))
+
+
+def test_swapped_search_finds_the_inverses_on_every_sweep_pair():
+    # the sweeps search each order pair one way and take the inverses for the
+    # other: run both searches, which may start from either side, and compare
+    pairs = set()
+    for y, w, z in straight_triples(7) + skew_w_triples(2, 3, 4, 6):
+        x = w if isinstance(w, SkewShape) else SkewShape(w)
+        zy = SkewShape(z, y)
+        pairs.update((x, zy, resolve_order(s, zy), resolve_order(s, x)) for s in ("ME", "FE", "seed:0"))
+    for x, zy, a, a_prime in pairs:
+        fwd = enumerate_pictures(x, zy, a, a_prime)
+        back = enumerate_pictures(zy, x, a_prime, a)
+        assert len(back) == len(fwd) and set(back) == {omega(p) for p in fwd}, (x, zy)
 
 
 @pytest.mark.parametrize("rows, n", [((4, 3, 2, 1), 10), ((4, 4, 3, 1), 12)])

@@ -297,6 +297,17 @@ def test_roundtrip_catches_a_repeated_picture(monkeypatch):
     assert _fails_every_order(monkeypatch)
 
 
+def test_roundtrip_catches_a_missing_picture(monkeypatch):
+    # one picture fewer than members: the sizes differ, so the check fails
+    # before it maps any member
+    real = sweeps.enumerate_pictures
+    monkeypatch.setattr(sweeps, "enumerate_pictures", lambda *args: real(*args)[1:])
+    forward, _ = _spy(monkeypatch)
+    rec = sweeps.check_triple(*WORKED, specs=ROUNDTRIP)
+    assert [e["roundtrip_ok"] for e in rec["orders"]] == [False] * len(ROUNDTRIP)
+    assert not sweeps.record_ok(rec) and forward == []
+
+
 def _some_triples():
     """Every straight triple with |z| <= 5, and skew-W ones up to the same size."""
     return sweeps.straight_triples(5) + sweeps.skew_w_triples(2, 3, 4, 5)
@@ -358,11 +369,10 @@ def test_each_distinct_order_and_pair_is_searched_once(monkeypatch, seed):
         assert [a[:2] for a in glmn] == [(SkewShape(z, y), w_shape.inner)] * len(on_zy)
         assert len(glr) == len(on_w) and {a[2] for a in glr} == on_w
         assert len(glmn) == len(on_zy) and {a[2] for a in glmn} == on_zy
-        # each call as (order on W, order on Z/Y), whichever shape it maps from
-        searched = Counter(
-            (a[3], a[2]) if a[0] == w_shape else (a[2], a[3]) for a, _ in calls["enumerate_pictures"]
-        )
-        assert searched == {pair: 2 for pair in pairs}
+        # each pair searched once, from W: the swapped pictures are their inverses
+        pictures = [args for args, _ in calls["enumerate_pictures"]]
+        assert [a[:2] for a in pictures] == [(w_shape, SkewShape(z, y))] * len(pairs)
+        assert Counter((a[3], a[2]) for a in pictures) == {pair: 1 for pair in pairs}
 
 
 def test_different_orders_are_never_merged(monkeypatch):
@@ -380,10 +390,8 @@ def test_different_orders_are_never_merged(monkeypatch):
         (zy, (), middle_eastern(zy)),
         (zy, (), far_eastern(zy)),
     ]
-    assert [a[2:] for a, _ in calls["enumerate_pictures"]] == [
-        (middle_eastern(zy), middle_eastern(w_shape)),
-        (middle_eastern(w_shape), middle_eastern(zy)),
-        (far_eastern(zy), far_eastern(w_shape)),
-        (far_eastern(w_shape), far_eastern(zy)),
+    assert [a for a, _ in calls["enumerate_pictures"]] == [
+        (w_shape, zy, middle_eastern(zy), middle_eastern(w_shape)),
+        (w_shape, zy, far_eastern(zy), far_eastern(w_shape)),
     ]
     assert [e["order"] for e in rec["orders"]] == ["ME", "FE", "ME"]
