@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 when a verification finds a violated invariant,
-2 on malformed input or usage errors. Each command, map and verify mode takes
-only the options it reads, spelled in full after its name (psi requires --y);
-any other option is a usage error, refused before any output. All
+2 on malformed input or usage errors. One table, ``_COMMANDS``, gives each
+command, map and verify mode the options it reads and no others, spelled in
+full after its name (psi requires --y); a run builds the parser of its own
+command only. Any other option is a usage error, refused before any output. All
 mathematical output goes to stdout as JSON (one object per line for
 enumerations and sweeps); identical inputs produce byte-identical output.
 Every command writes through one writer, ``_write``: the first line on its
@@ -117,11 +118,9 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.family == "ssyt":
-        shape = _parse_shape(args.shape)
-        _write(serialize.tableau_lines(enumerate_ssyt(shape, args.max_entry)))
+        _write(serialize.tableau_lines(enumerate_ssyt(_parse_shape(args.shape), args.max_entry)))
     elif args.family == "glmn":
-        shape = _parse_shape(args.shape)
-        _write(serialize.tableau_lines(enumerate_glmn(shape, args.m, args.n)))
+        _write(serialize.tableau_lines(enumerate_glmn(_parse_shape(args.shape), args.m, args.n)))
     elif args.family == "lr":
         y, w, z = map(_parse_partition, (args.y, args.w, args.z))
         order = _resolve_order(args.order, SkewShape(z, y), args.seed)
@@ -189,43 +188,23 @@ def _cmd_render(args) -> int:
     return 0
 
 
-# the order specs each sweep that takes --orders checks when it is not given
-_SWEEP_ORDERS = {
-    "roundtrip": ("ME", "FE", "seed:0", "seed:1", "seed:2"),
-    "order-independence": ("ME", "FE", "seed:0", "seed:1", "seed:2", "seed:3", "seed:4"),
-}
-
-
-def _sweep_units(args, specs, seed: int, m: int, n: int):
+def _sweep_units(args, specs):
     """One unit per triple: its line under each order spec, and whether it passed."""
     triples = sweeps.straight_triples(args.max_size)
     if args.what == "coefficients":
-        hooks = set(hook_partitions_up_to(args.max_size, m, n))
+        hooks = set(hook_partitions_up_to(args.max_size, args.m, args.n))
         triples = [t for t in triples if hooks.issuperset(t)]
     records = sweeps.run_sweep(
-        triples,
-        specs,
-        seed=seed,
-        roundtrips=args.what == "roundtrip",
-        identity=args.what == "coefficients",
-        pictures=args.what != "order-independence",
-        jobs=args.jobs,
+        triples, specs, seed=args.seed, roundtrips=args.what == "roundtrip",
+        identity=args.what == "coefficients", pictures=args.what != "order-independence", jobs=args.jobs,
     )
     for rec in records:
         w_obj = list(rec["w"][0])  # every CLI sweep runs straight triples: W is its outer shape
         yield [
             {
-                "y": list(rec["y"]),
-                "w": w_obj,
-                "z": list(rec["z"]),
-                "m": m,
-                "n": n,
-                "order": entry["order"],
-                "c": rec["c"],
-                "n_super": rec["n_super"],
-                "pictures": entry["pictures"],
-                "roundtrip_ok": entry["roundtrip_ok"],
-                "order_independent": rec["order_independent"],
+                "y": list(rec["y"]), "w": w_obj, "z": list(rec["z"]), "m": args.m, "n": args.n,
+                "order": entry["order"], "c": rec["c"], "n_super": rec["n_super"], "pictures": entry["pictures"],
+                "roundtrip_ok": entry["roundtrip_ok"], "order_independent": rec["order_independent"],
             }
             for entry in rec["orders"]
         ], sweeps.record_ok(rec)
@@ -241,21 +220,18 @@ def _decomposition_units(shapes, params: dict, check):
 
 
 def _cmd_verify(args) -> int:
-    # every --orders rule runs here, before any output
-    if args.what in _SWEEP_ORDERS:
-        specs = tuple(args.orders.split(",")) if args.orders is not None else _SWEEP_ORDERS[args.what]
+    if args.what == "decomposition-glr":
+        shapes = partitions_up_to(args.max_size, max_rows=args.r)
+        units = _decomposition_units(shapes, {"r": args.r}, verify_decomposition_glr)
+    elif args.what == "decomposition-glmn":
+        shapes = hook_partitions_up_to(args.max_size, args.m, args.n)
+        units = _decomposition_units(shapes, {"m": args.m, "n": args.n}, verify_decomposition_glmn)
+    else:  # a sweep: every --orders rule runs here, before any output
+        specs = tuple(args.orders.split(","))
         named = {sweeps.parse_order_spec(s) for s in specs}  # refuses an unknown spec first
         if args.what == "order-independence" and len(named) < 2:
             raise InputError(f"order-independence needs two distinct order specs, not {args.orders!r}")
-        units = _sweep_units(args, specs, args.seed, 2, 2)  # m, n: fixed fields of lines that check no hook
-    elif args.what == "coefficients":
-        units = _sweep_units(args, ("ME",), 0, args.m, args.n)  # the hook bounds; ME reads no seed
-    elif args.what == "decomposition-glr":
-        shapes = partitions_up_to(args.max_size, max_rows=args.r)
-        units = _decomposition_units(shapes, {"r": args.r}, verify_decomposition_glr)
-    else:
-        shapes = hook_partitions_up_to(args.max_size, args.m, args.n)
-        units = _decomposition_units(shapes, {"m": args.m, "n": args.n}, verify_decomposition_glmn)
+        units = _sweep_units(args, specs)
     total = failures = 0
 
     def lines():
@@ -273,103 +249,110 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Knows each option only by its full name; its subparsers are _Parsers too."""
+_TEXT = {"required": True}
+_INT = {"type": int, "required": True}
+_SEED = {"type": int, "default": 0}
+_TWO = {"type": int, "default": 2}  # --m and --n of the verify modes that take them
+_INPUT = {"required": True, "help": "JSON file, or - for stdin"}
+_JOBS = {"type": positive_int, "default": 1}
+_SPECS = "comma list of ME | FE | seed:<n>"
 
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-
-# the options each map and each verify mode reads, besides --input and --max-size: no others
-_MAP_OPTIONS = {"phi": "yz", "psi": "yz", "phitilde": "yz", "psitilde": "yz", "phihat": "ywz", "omega": ""}
-_VERIFY_OPTIONS = {
-    **dict.fromkeys(_SWEEP_ORDERS, ("orders", "seed", "jobs")),
-    "coefficients": ("m", "n", "jobs"),
-    "decomposition-glr": ("r",),
-    "decomposition-glmn": ("m", "n"),
+# Each command: its help, its handler, and either its options or the dest
+# and leaves of its subcommands. Each leaf: its help (None: not listed), its
+# options, and the fixed values its handler reads besides them. Each takes
+# exactly the options its code reads.
+_COMMANDS = {
+    "coeff": ("count both LR families for a hook triple", _cmd_coeff, {
+        "y": _TEXT, "w": _TEXT, "z": _TEXT, "m": _INT, "n": _INT,
+    }),
+    "enumerate": ("list tableaux or pictures as JSON lines", _cmd_enumerate, "family", {
+        "ssyt": ("semistandard fillings of a shape", {
+            "shape": {**_TEXT, "help": "outer[/inner], e.g. 3,2/1"}, "max-entry": _INT,
+        }, {}),
+        "glmn": ("two-family semistandard fillings", {"shape": _TEXT, "m": _INT, "n": _INT}, {}),
+        "lr": ("two-family LR tableaux of a triple", {
+            "y": _TEXT, "w": _TEXT, "z": _TEXT,
+            "order": {"help": "order on z/y: ME | FE | seed:<n> | @file.json"}, "seed": _SEED,
+        }, {}),
+        "lrglr": ("classical LR family over a shape", {
+            "y": _TEXT, "w": {**_TEXT, "help": "reading shape, outer[/inner]"}, "z": _TEXT,
+            "order": {"help": "order on w: ME | FE | seed:<n> | @file.json"}, "seed": _SEED,
+            "max-entry": {"type": int},
+        }, {}),
+        "pictures": ("admissible pictures between two shapes", {
+            "domain": _TEXT, "codomain": _TEXT, "order": {"help": "order on the codomain"},
+            "order2": {"help": "order on the domain"}, "seed": _SEED,
+        }, {}),
+    }),
+    "map": ("apply one of the bijections to a JSON value", _cmd_map, "name", {
+        "phi": (None, {"input": _INPUT, "y": {}, "z": {}}, {}),
+        "psi": (None, {"input": _INPUT, "y": _TEXT, "z": {}}, {}),  # --y: the inner shape of psi's target
+        "phitilde": (None, {"input": _INPUT, "y": {}, "z": {}}, {}),
+        "psitilde": (None, {"input": _INPUT, "y": {}, "z": {}}, {}),
+        "phihat": (None, {"input": _INPUT, "y": {}, "w": {}, "z": {}}, {}),
+        "omega": (None, {"input": _INPUT}, {}),
+    }),
+    "verify": ("run an exhaustive verification sweep", _cmd_verify, "what", {
+        # m, n: fixed fields of lines that check no hook
+        "roundtrip": (None, {
+            "max-size": _INT, "orders": {"help": _SPECS, "default": "ME,FE,seed:0,seed:1,seed:2"},
+            "seed": _SEED, "jobs": _JOBS,
+        }, {"m": 2, "n": 2}),
+        "order-independence": (None, {
+            "max-size": _INT, "orders": {"help": _SPECS, "default": "ME,FE,seed:0,seed:1,seed:2,seed:3,seed:4"},
+            "seed": _SEED, "jobs": _JOBS,
+        }, {"m": 2, "n": 2}),
+        # m, n: the hook bounds; ME reads no seed
+        "coefficients": (None, {"max-size": _INT, "m": _TWO, "n": _TWO, "jobs": _JOBS}, {"orders": "ME", "seed": 0}),
+        "decomposition-glr": (None, {"max-size": _INT, "r": {"type": int, "default": 3}}, {}),
+        "decomposition-glmn": (None, {"max-size": _INT, "m": _TWO, "n": _TWO}, {}),
+    }),
+    "render": ("draw a shape, tableau, or picture", _cmd_render, {
+        "input": _TEXT, "render": {"choices": ["ascii", "unicode"], "default": "ascii"},
+    }),
 }
-_OPTIONS = {
-    "orders": {"help": "comma list of ME | FE | seed:<n>"},
-    "jobs": {"type": positive_int, "default": 1},
-    **{name: {"type": int, "default": default} for name, default in (("seed", 0), ("m", 2), ("n", 2), ("r", 3))},
-}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _add_options(parser: argparse.ArgumentParser, options: dict, defaults: dict) -> None:
+    for name, kwargs in options.items():
+        parser.add_argument(f"--{name}", **kwargs)
+    parser.set_defaults(**defaults)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``, built from ``_COMMANDS``: every command, the
+    leaves of the command ``argv`` names, and the options of the one command
+    or leaf it runs, no others. The first and second words of ``argv`` that
+    do not start with - name them, as argparse reads them: no parser above a
+    leaf takes an option but -h, so every other word is a value or an error."""
+    command, leaf = ([a for a in argv if not a.startswith("-")] + [None, None])[:2]
+    parser = argparse.ArgumentParser(
         prog="lrpictures",
         description="Littlewood-Richardson tableaux, pictures, and the bijections between them.",
+        allow_abbrev=False,  # each option is known only by its full name
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeff", help="count both LR families for a hook triple")
-    p.add_argument("--y", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_coeff)
-
-    p = sub.add_parser("enumerate", help="list tableaux or pictures as JSON lines")
-    fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("ssyt", help="semistandard fillings of a shape")
-    q.add_argument("--shape", required=True, help="outer[/inner], e.g. 3,2/1")
-    q.add_argument("--max-entry", type=int, required=True)
-    q = fam.add_parser("glmn", help="two-family semistandard fillings")
-    q.add_argument("--shape", required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q = fam.add_parser("lr", help="two-family LR tableaux of a triple")
-    q.add_argument("--y", required=True)
-    q.add_argument("--w", required=True)
-    q.add_argument("--z", required=True)
-    q.add_argument("--order", help="order on z/y: ME | FE | seed:<n> | @file.json")
-    q.add_argument("--seed", type=int, default=0)
-    q = fam.add_parser("lrglr", help="classical LR family over a shape")
-    q.add_argument("--y", required=True)
-    q.add_argument("--w", required=True, help="reading shape, outer[/inner]")
-    q.add_argument("--z", required=True)
-    q.add_argument("--order", help="order on w: ME | FE | seed:<n> | @file.json")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-entry", type=int, default=None)
-    q = fam.add_parser("pictures", help="admissible pictures between two shapes")
-    q.add_argument("--domain", required=True)
-    q.add_argument("--codomain", required=True)
-    q.add_argument("--order", help="order on the codomain")
-    q.add_argument("--order2", help="order on the domain")
-    q.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("map", help="apply one of the bijections to a JSON value")
-    maps = p.add_subparsers(dest="name", required=True)
-    for name, shapes in _MAP_OPTIONS.items():
-        q = maps.add_parser(name)
-        q.add_argument("--input", required=True, help="JSON file, or - for stdin")
-        for shape in shapes:
-            q.add_argument(f"--{shape}", required=(name, shape) == ("psi", "y"))  # psi's target's inner shape
-    p.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    modes = p.add_subparsers(dest="what", required=True)
-    for what, options in _VERIFY_OPTIONS.items():
-        q = modes.add_parser(what)
-        q.add_argument("--max-size", type=int, required=True)
-        for option in options:
-            q.add_argument(f"--{option}", **_OPTIONS[option])
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("render", help="draw a shape, tableau, or picture")
-    p.add_argument("--input", required=True)
-    p.add_argument("--render", choices=["ascii", "unicode"], default="ascii")
-    p.set_defaults(func=_cmd_render)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, *body) in _COMMANDS.items():
+        p = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if name != command:
+            continue
+        if len(body) == 1:
+            _add_options(p, body[0], {})
+            continue
+        dest, leaves = body
+        sub = p.add_subparsers(dest=dest, required=True)
+        for leaf_name, (leaf_help, options, defaults) in leaves.items():
+            q = sub.add_parser(leaf_name, allow_abbrev=False, **({"help": leaf_help} if leaf_help else {}))
+            if leaf_name == leaf:
+                _add_options(q, options, defaults)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
-from .diagram import Partition, SkewShape, _add_boxes, _skew, as_partition, is_hook, partition_contains, partitions_of
+from .diagram import Partition, SkewShape, _skew, as_partition, is_hook, partition_contains, partitions_of
 from .lr import lr_families
 from .reading import _check_word, far_eastern, middle_eastern
 from .tableau import _fillings, enumerate_glmn, glmn_weight
@@ -119,17 +119,12 @@ def _reading_words(shape: SkewShape, max_entry: int, order) -> list[tuple[int, .
     return list(map(order._reader, _fillings(shape, max_entry, max_entry)))
 
 
-def _grown_shapes(y, words) -> Counter:
-    """Multiset of the shapes that replaying each word over the canonical ``y`` reaches."""
-    return Counter(z for z in (_add_boxes(y, word) for word in words) if z is not None)
-
-
 def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     """Check the classical product decomposition three ways.
 
-    Route one, per reading direction: replay the reading word of every filling
-    of ``w`` (entries up to ``r``) over ``y`` and collect the multiset of
-    resulting shapes, keeping only replays that stay inside valid diagrams.
+    Route one, per reading direction: each shape z with at most ``r`` rows
+    counts the fillings of ``w`` with entries up to ``r`` whose reading grows
+    ``y`` into z, group z of the free search ``lr_families(w, y, order)``.
     Route two: concatenate the readings of every pair of fillings of ``y`` and
     ``w`` and collect the weights of the words no raising operator touches.
     Passes when all three multisets agree and the total cardinalities match.
@@ -140,7 +135,8 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     sy, sw = SkewShape(y), SkewShape(w)
 
     grown_me, grown_fe = (
-        _grown_shapes(y, _reading_words(sw, r, make(sw))) for make in (middle_eastern, far_eastern)
+        {z: len(ts) for z, ts in lr_families(sw, y, make(sw)).items() if len(z) <= r}
+        for make in (middle_eastern, far_eastern)
     )
 
     s_words = _reading_words(sy, r, middle_eastern(sy))
@@ -151,7 +147,7 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     lhs_card = len(s_words) * len(t_words)
     rhs_card = sum(mult * len(_fillings(SkewShape(shape), r, r)) for shape, mult in grown_me.items())
     passed = grown_me == grown_fe == from_highest and lhs_card == rhs_card
-    return DecompositionReport(lhs_card, rhs_card, dict(grown_me), passed)
+    return DecompositionReport(lhs_card, rhs_card, grown_me, passed)
 
 
 @lru_cache(maxsize=256)

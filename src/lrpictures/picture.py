@@ -110,18 +110,24 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
 
 @lru_cache(maxsize=1 << 12)
 def _codomain_tables(a: AdmissibleOrder):
-    """Over ``a``'s cells, each named by its rank in ``a``: bitsets ``preds`` of
-    the left and upper neighbours, ranks ``succs`` of the right and lower ones,
-    and the bitset of the cells with neither, read off ``a``'s neighbour ranks."""
-    preds, succs = [0] * len(a), [[] for _ in a.cells]
-    for c, (u, r) in enumerate(zip(a._up, a._right)):
-        if u >= 0:  # u lies above c
-            preds[c] |= 1 << u
-            succs[u].append(c)
+    """Over ``a``'s cells, each named by its rank in ``a``: each cell's right
+    and lower neighbours, at most two, each paired with the rank of that
+    neighbour's other left or upper neighbour (-1 if none), and the bitset of
+    the cells with neither, read off ``a``'s neighbour ranks."""
+    left = [-1] * len(a)
+    for c, r in enumerate(a._right):
         if r >= 0:  # r lies right of c
-            preds[r] |= 1 << c
-            succs[c].append(r)
-    return tuple(preds), tuple(map(tuple, succs)), sum(1 << c for c, p in enumerate(preds) if not p)
+            left[r] = c
+    succs = [[] for _ in a.cells]
+    roots = 0
+    for d, (u, v) in enumerate(zip(a._up, left)):  # u lies above d, v left of it
+        if u >= 0:
+            succs[u].append((d, v))
+        if v >= 0:
+            succs[v].append((d, u))
+        elif u < 0:
+            roots |= 1 << d
+    return tuple(map(tuple, succs)), roots
 
 
 def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:
@@ -146,7 +152,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
     if n == 0:
         return [()]
     up, right = a_prime._up, a_prime._right
-    preds, succs, roots = _codomain_tables(a)
+    succs, roots = _codomain_tables(a)
     perm = [0] * n
     # at position i: candidates not tried yet, images so far, cells that qualify
     free = [0] * n
@@ -169,8 +175,8 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
             continue
         now = placed[i] | bit
         avail = ready[i] ^ bit
-        for d in succs[c]:
-            if not preds[d] & ~now:
+        for d, other in succs[c]:
+            if other < 0 or now >> other & 1:
                 avail |= 1 << d
         i += 1
         placed[i] = now

@@ -170,9 +170,9 @@ def check_triple(
         entry = {"pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
         if pictures:
             pics = enumerate_pictures(w_shape, zy, o_zy, o_w)
-            swapped = [omega(p) for p in pics]
-            entry["pictures"], entry["pictures_swapped"] = len(pics), len(swapped)
+            entry["pictures"] = entry["pictures_swapped"] = len(pics)  # the inverses are as many
             if roundtrips:
+                swapped = [omega(p) for p in pics]
                 ok = _roundtrip_pair(b_sets[o_w], pics, y, b_images)
                 entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[o_zy], swapped, w_shape.inner, lr_images)
         per_pair[o_w, o_zy] = entry

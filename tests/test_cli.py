@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -437,6 +438,68 @@ def test_refused_command_lines_write_nothing(capsys, argv, named):
     assert code == 2
     assert out == ""
     assert named in err
+
+
+# sha256 of every -h page at COLUMNS=80, as argparse lays it out on Python 3.11
+# (the version CI runs): the program's, each command's and each leaf's
+HELP_PAGES = {
+    "": "ae98d8ec0c812a2eff6415a326f6169a79ba793c24a4326697a2d5b72ffbba56",
+    "coeff": "5d3c285a2d019050fd4ffa00ceca0da2b25854c520a0f0335250af6f02e37aa5",
+    "enumerate": "fb1532e03e75754308192bd460869d2aee1b57add9706a4c77bc6979cdc8bf07",
+    "map": "4d5b1b8529c560745b29054e3350dff32d07530951dabc5d30d5466d85c0eb1a",
+    "verify": "30e85b037e0a2df3689939e6afb6716c72464f93b0488ee49a639efed4ad7151",
+    "render": "992bed7438fd2d0e414a9a29459b976cca74368ecbed953db21940740e2d3ac4",
+    "enumerate ssyt": "9ef78caa4d8a0f4ab814a1debe28c75b3c820e89942c927db66a6894b4057e26",
+    "enumerate glmn": "5d7a93e72b9c1ecc93017c5d8a7d88f4339108aff91cd3013ab7bc726686966a",
+    "enumerate lr": "e5f2f4553b0505c9f98924946f326c44b5829dd912b3a38d69334f31f584bbc1",
+    "enumerate lrglr": "fe27e26c3ea00f8931b6de8476a7916bba82d7918c47a3897d5cf1d69fc216bb",
+    "enumerate pictures": "aa6cff8d87cd716d06b1e29728d67b89a917fe88a54dace2fee4d647af9bed3c",
+    "map phi": "7556745680c004664a10a144055f7821d609006f98f9f179bf66897f072a243e",
+    "map psi": "156881eabd30f850417835683cc52bcc60b199e5bcccd2bf45ac74ee2dac83ad",
+    "map phitilde": "e659adb9261b7b2f527ef04442a4a487f5045dae9723f3a44d317bd9428187f2",
+    "map psitilde": "69cd2d0a0b53c46ee072efaa6fe50b6361f535194312996e61b5acce82666624",
+    "map phihat": "c3e55ee4da27dae26b28b7a53e71f8a3e16796eb3844bbe501a12f13e986ff2b",
+    "map omega": "88b25ef4c280068c12869a4cba1b4adbaba0ffabf7111a213f2c0b095d40c336",
+    "verify roundtrip": "47102abd294dba91b07efc8b57b5fa2c30cab3152fb40b93d840c92ccc5b9dbd",
+    "verify order-independence": "b6c0f574ef70a4b803e06d5922154ccf53c13ee5f11398bb68bbec35497bd35f",
+    "verify coefficients": "a2dedbf84b100a141883e0083c385392fee052def89e818b6e42652bf340220b",
+    "verify decomposition-glr": "e24c84763b8ca9751e9fd624bdd7414309afc007a64e8d9f5b2cb713748eaec4",
+    "verify decomposition-glmn": "51f8288698cc0bd5440a1897ca61f8561bec625bad2cd19155ac382e0e083760",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_PAGES), ids=lambda c: c or "lrpictures")
+def test_help_pages_are_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command.split(), "-h")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_PAGES[command]
+
+
+TOP_USAGE = "usage: lrpictures [-h] {coeff,enumerate,map,verify,render} ...\n"
+NOT_A_COMMAND = (
+    TOP_USAGE + "lrpictures: error: argument command: invalid choice: '1' "
+    "(choose from 'coeff', 'enumerate', 'map', 'verify', 'render')\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "expect_err"),
+    [
+        # the option's value is read as the command
+        ("--y 1 coeff --w 1 --z 2 --m 1 --n 1", NOT_A_COMMAND),
+        ("--max-size 1 verify roundtrip", NOT_A_COMMAND),
+        # no value word: coeff runs and misses the --y it was given too early
+        (
+            "--y=1 coeff --w 1 --z 2 --m 1 --n 1",
+            "usage: lrpictures coeff [-h] --y Y --w W --z Z --m M --n N\n"
+            "lrpictures coeff: error: the following arguments are required: --y\n",
+        ),
+    ],
+)
+def test_an_option_before_its_command_is_exit_2(capsys, monkeypatch, argv, expect_err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv.split()) == (2, "", expect_err)
 
 
 def test_verify_counts_a_decomposition_failure(capsys, monkeypatch):

@@ -11,6 +11,7 @@ A case whose output is meant to change gets its digest re-recorded in the
 same change, with the reason.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -193,3 +194,21 @@ def test_cli_stdout_matches_recorded_digest(name, tmp_path, capsys, monkeypatch)
     assert code == expect_code
     assert out, "a recorded command prints something"
     assert hashlib.sha256(out.encode()).hexdigest() == expect_digest
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_a_command_line_builds_only_the_options_it_names(name, tmp_path, monkeypatch):
+    # argparse builds a help formatter on each add_argument; a run pays for
+    # the -h of the program, of each command and of the named command's
+    # leaves, and for the options of the one command or leaf it runs
+    calls = []
+    real = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    argv = CASES[name][0].format(order=tmp_path / "order.json").split()
+    cli.build_parser(argv).parse_args(argv)
+    assert len(calls) <= 18

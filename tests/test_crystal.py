@@ -109,6 +109,29 @@ def test_glr_decomposition_property(y, w):
     assert verify_decomposition_glr(y, w, 3).passed
 
 
+def test_glr_decomposition_reads_each_multiplicity_from_the_lr_search(monkeypatch):
+    # route one is one free search on (W, y) per reading direction; the z
+    # with more than r rows, here (3,1,1,1) and (2,2,1,1), are dropped
+    y, w, r = (2, 1), (2, 1), 3
+    searched = []
+    real = crystal.lr_families
+
+    def spied(shape, start, order):
+        searched.append((shape, start, order))
+        return real(shape, start, order)
+
+    monkeypatch.setattr(crystal, "lr_families", spied)
+    rep = verify_decomposition_glr(y, w, r)
+    sw = SkewShape(w)
+    assert searched == [(sw, y, middle_eastern(sw)), (sw, y, far_eastern(sw))]
+    assert rep.passed
+    fits = [z for z in partitions_of(6) if len(z) <= r and partition_contains(z, y)]
+    assert rep.per_shape == {z: len(glr_lr_tableaux(sw, y, z)) for z in fits if glr_lr_tableaux(sw, y, z)}
+    assert rep.per_shape[3, 2, 1] == 2
+    tall = {(3, 1, 1, 1), (2, 2, 1, 1)}
+    assert tall <= set(real(sw, y, middle_eastern(sw))) and not tall & set(rep.per_shape)
+
+
 def test_glmn_decomposition_small():
     rep = verify_decomposition_glmn((1,), (1,), 1, 1)
     assert rep.passed

@@ -305,7 +305,7 @@ def test_search_on_a_row_of_6000_cells_keeps_no_table_of_cell_pairs():
     finally:
         tracemalloc.stop()
     assert len(pictures) == 1
-    assert held < 5 * 2**20
+    assert held < 1.5 * 2**20
 
 
 def test_pictures_of_empty_and_one_cell_shapes():
