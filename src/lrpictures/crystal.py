@@ -124,7 +124,8 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
 
     Route one, per reading direction: each shape z with at most ``r`` rows
     counts the fillings of ``w`` with entries up to ``r`` whose reading grows
-    ``y`` into z, group z of the free search ``lr_families(w, y, order)``.
+    ``y`` into z, group z of ``lr_families(w, y, order, ceiling)`` under a
+    ceiling of ``r`` rows, so the search grows no z it would not read.
     Route two: concatenate the readings of every pair of fillings of ``y`` and
     ``w`` and collect the weights of the words no raising operator touches.
     Passes when all three multisets agree and the total cardinalities match.
@@ -133,9 +134,10 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     if len(y) > r or len(w) > r:
         raise ValueError("shapes must have at most r rows")
     sy, sw = SkewShape(y), SkewShape(w)
+    ceiling = (sum(y) + sw.size,) * r
 
     grown_me, grown_fe = (
-        {z: len(ts) for z, ts in lr_families(sw, y, make(sw)).items() if len(z) <= r}
+        {z: len(ts) for z, ts in lr_families(sw, y, make(sw), ceiling).items()}
         for make in (middle_eastern, far_eastern)
     )
 
@@ -164,7 +166,7 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     The weight multiset of all pairs of fillings of ``y`` and ``w`` must match
     the union, over hook shapes ``z`` of the right size, of ``N`` copies of the
     weight multiset of the fillings of ``z``, where ``N`` counts the two-family
-    LR tableaux of the triple: group ``w`` of the free search on (Z/Y, ()),
+    LR tableaux of the triple: group ``w`` of the uncapped search on (Z/Y, ()),
     so one cached ``lr_families`` call per ``z`` that contains ``y`` serves
     every ``w``.
     """

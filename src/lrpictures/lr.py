@@ -6,11 +6,12 @@ of shape W whose reading word, taken in an admissible order, grows Y into Z
 one box at a time. The two-family (super) side holds the semistandard skew
 fillings of Z/Y whose reading grows W.inner into W.outer (for a straight W:
 content W and a lattice reading); one pruned search builds both, for W
-straight or skew. The public functions cap that search at Z, one triple at a
-time; ``lr_families`` runs it free, for sweeps, and groups what it finds by
-the partition each member grows its start into. The maps below realize both
-as picture sets and carry one family to the other; all of them are verified
-elementwise by brute-force enumeration in the test suite.
+straight or skew. It grows the start inside a ceiling partition and groups
+its members by the partition each grows the start into; the public
+functions cap it at Z, one triple at a time, and sweeps run it uncapped.
+The maps below realize both as picture sets and carry one family to the
+other; all of them are verified elementwise by brute-force enumeration in
+the test suite.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ def glr_lr_tableaux(
 ) -> tuple[Tableau, ...]:
     """All members of the classical family over shape ``w`` for the pair (y, z).
 
-    Built directly by the pruned search ``_lr_fillings``. Every member has
-    content z - y: it holds z_v - y_v entries v for each row v. So
-    ``max_entry`` keeps the whole family when no row of z/y past it holds a
-    box, and empties it when one does.
+    Group z of the pruned search capped at z (``lr_families``). Every
+    member has content z - y: it holds z_v - y_v entries v for each row v.
+    So ``max_entry`` keeps the whole family when no row of z/y past it holds
+    a box, and empties it when one does.
     """
     shape = w if isinstance(w, SkewShape) else SkewShape(w)
     y, z = as_partition(y), as_partition(z)
@@ -63,7 +64,7 @@ def glr_lr_tableaux(
     k = len(z) if max_entry is None else _nonnegative("max_entry", max_entry)
     if sum(z[k:]) > sum(y[k:]):  # a box of z/y below row k needs an entry past k
         return ()
-    return _glr_lr(shape, y, z, order)
+    return lr_families(shape, y, order, z).get(z, ())
 
 
 def _ends(w) -> tuple[tuple, tuple]:
@@ -97,34 +98,28 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
         return ()
     shape = _skew(z, y)
     order = _checked_order(shape, order)
-    return _glmn_lr(shape, start, end, order)
+    return lr_families(shape, start, order, end).get(end, ())
 
 
-def _lr_fillings(shape, y, z, order):
+def _lr_fillings(shape, start, ceiling, order):
     """The semistandard fillings of ``shape`` whose reading in ``order`` grows
-    ``y`` into ``z``, sorted by row-major entry vector. Entries name the rows
-    that get a box, so they run up to ``len(z)``.
-
-    With ``z`` None the search is free, for sweeps: no row of the grown
-    diagram is capped, entries run up to ``len(y) + shape.size`` (room for
-    every row the growth can start), and the result maps each partition that
-    some filling grows ``y`` into to those fillings, sorted the same way. One
-    free search holds the families of every triple on its (shape, y, order).
+    ``start`` inside ``ceiling``, as a read-only mapping from each partition
+    some filling grows ``start`` into to those fillings, sorted by row-major
+    entry vector. Entries name the rows that get a box, so they run up to
+    ``len(ceiling)``, and no row grows past its row of ``ceiling``; a
+    ``start`` outside ``ceiling`` has no fillings.
 
     A depth-first loop fills the cells along ``order``, which puts a cell's
     right and upper neighbours (``order._right``, ``order._up``) first: they
     bound its entry from above and below. Letter v is tried only if a box in
-    row v keeps the grown diagram a partition, inside ``z`` when capped.
+    row v keeps the grown diagram a partition inside ``ceiling``.
     """
-    free = z is None
-    if free:
-        z = (sum(y) + shape.size + 1,) * (len(y) + shape.size)  # rows no growth fills
-    elif shape.size + sum(y) != sum(z) or not partition_contains(z, y):
-        return ()
-    top = len(z)
+    if not partition_contains(ceiling, start):
+        return MappingProxyType({})
+    top = len(ceiling)
     n = len(order)
     up, right, at = order._up, order._right, order._at
-    rows = list(y) + [0] * (len(z) - len(y))
+    rows = list(start) + [0] * (top - len(start))
     e = [0] * n
     found = []
     k, v = 0, 1
@@ -133,7 +128,7 @@ def _lr_fillings(shape, y, z, order):
             found.append((tuple([e[p] for p in at]), tuple(rows)))
         else:
             hi = e[right[k]] if right[k] >= 0 else top
-            while v <= hi and (rows[v - 1] == z[v - 1] or (v > 1 and rows[v - 2] == rows[v - 1])):
+            while v <= hi and (rows[v - 1] == ceiling[v - 1] or (v > 1 and rows[v - 2] == rows[v - 1])):
                 v += 1
             if v <= hi:
                 e[k] = v
@@ -148,32 +143,33 @@ def _lr_fillings(shape, y, z, order):
         rows[v - 1] -= 1
         v += 1
     found.sort()
-    if not free:  # every filling grows y into z
-        return tuple([Tableau._build(shape, entries) for entries, _ in found])
     groups = {}
     for entries, end in found:
         groups.setdefault(end, []).append(Tableau._build(shape, entries))
-    return MappingProxyType({as_partition(end): tuple(ts) for end, ts in groups.items()})
+    # an end is a partition padded to len(ceiling), so its zeros trail
+    return MappingProxyType({end[: len(end) - end.count(0)]: tuple(ts) for end, ts in groups.items()})
 
 
-# One cache for both families and both modes: a key they share names the same
-# search. Both names stay, as perfbench/record_corpus.py clears the caches by name.
+# One cache for both families: a key they share names the same search. Both
+# names stay, as perfbench/record_corpus.py clears the caches by name.
 _glr_lr = _glmn_lr = lru_cache(maxsize=1 << 17)(_lr_fillings)
 
 
-def lr_families(shape: SkewShape, start, order: AdmissibleOrder) -> MappingProxyType:
-    """Every LR family on ``shape`` from ``start`` at once, built for sweeps.
+def lr_families(shape: SkewShape, start, order: AdmissibleOrder, ceiling=None) -> MappingProxyType:
+    """Every LR family on ``shape`` from ``start`` whose end fits in ``ceiling``.
 
-    Maps each partition Z that some filling's reading grows the canonical
-    ``start`` into, under an ``order`` admissible on ``shape`` (not
-    checked), to the members in the order ``_lr_fillings`` sorts them. The
-    classical family of (y, W, z) is group z on (W, y); the two-family set is
-    group W.outer on (Z/Y, W.inner). One free search serves every triple on
-    its (shape, start, order), in a sweep or a decomposition check, where a
-    capped one would run per triple; a single triple is cheaper through the
-    capped public functions.
+    Maps each partition Z inside ``ceiling`` that some filling's reading
+    grows the canonical ``start`` into, under an ``order`` admissible on
+    ``shape`` (not checked), to the members in the order ``_lr_fillings``
+    sorts them. The classical family of (y, W, z) is group z on (W, y); the
+    two-family set is group W.outer on (Z/Y, W.inner). With no ``ceiling``
+    no row is capped: one search serves every triple on its (shape, start,
+    order), as in a sweep. A ceiling of Z builds the one family of a triple,
+    and one of r rows the families a decomposition check reads.
     """
-    return _glmn_lr(shape, start, None, order)
+    if ceiling is None:  # rows no growth fills
+        ceiling = (sum(start) + shape.size + 1,) * (len(start) + shape.size)
+    return _glmn_lr(shape, start, ceiling, order)
 
 
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:

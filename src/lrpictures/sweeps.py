@@ -8,8 +8,9 @@ membership check: every two-family LR tableau, in each order, has a reading
 that grows W.inner into W.outer. A family is read once per distinct order
 and the pictures W -> Z/Y are searched once per distinct order pair, however
 many specs name them; the pictures Z/Y -> W are their inverses. The families
-come from ``lr.lr_families``: one free search per (shape, start, order),
-cached, serves every triple a sweep meets on it.
+come from ``lr.lr_families`` with no ceiling: one search per (shape, start,
+order), cached, grows the start into every partition it can reach, so it
+serves every triple a sweep meets on it.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def check_triple(
     two-family side on Z/Y against the pictures Z/Y -> W over base W.inner.
     Each family is read once per distinct order on its shape, as group z of
     ``lr_families(W, y, order)`` and group W.outer of ``lr_families(Z/Y,
-    W.inner, order)``. Those free searches are cached, so the other triples
+    W.inner, order)``. Those searches are cached, so the other triples
     of a sweep on the same shape and order, zero ones included, only look up
     their group; one triple alone pays for every group. Once per distinct
     (order on W, order on Z/Y) pair, the pictures W -> Z/Y are searched, the

@@ -5,8 +5,9 @@ filter-the-universe searches, sharing no logic with the package enumerators
 (only the plain data containers), so agreement between the two routes is
 evidence, not tautology. The one composite, ``companion_tableau_via_pictures``,
 reaches ``companion_tableau``'s answer through three other library maps. The
-counting formulas (hook length, hook content, and the Aitken and Jacobi-Trudi
-determinants) list nothing, so they reach sizes no filter can.
+counting formulas (hook length, hook content, the Aitken and Jacobi-Trudi
+determinants, and Berele and Regev's sum for the (m|n) fillings) list
+nothing, so they reach sizes no filter can.
 """
 
 import random
@@ -194,6 +195,25 @@ def jacobi_trudi_oracle(z, y, r):
     (r >= 1), by Jacobi-Trudi: det[h_k(1^r)] with k = z_i - y_j - i + j,
     where h_k(1^r) = C(r + k - 1, k), and 0 for k < 0."""
     return _skew_determinant(z, y, lambda k: comb(r + k - 1, k) if k >= 0 else 0)
+
+
+def conjugate_oracle(p):
+    """The conjugate partition: the column lengths of the rows ``p``."""
+    return tuple(sum(1 for r in p if r > j) for j in range(max(p, default=0)))
+
+
+def hook_fillings_oracle(z, y, m, n):
+    """The (m|n)-semistandard fillings of z/y (m, n >= 1), by Berele and
+    Regev (1987): the plain letters fill some v/y with y inside v inside z as
+    a semistandard tableau, and the barred ones fill z/v with a transpose
+    that is semistandard, so the count is the sum over v of
+    s_{v/y}(1^m) s_{z'/v'}(1^n)."""
+    y, zc = tuple(y), conjugate_oracle(z)
+    return sum(
+        jacobi_trudi_oracle(v, y, m) * jacobi_trudi_oracle(zc, conjugate_oracle(v), n)
+        for v in subdiagrams_oracle(z)
+        if len(y) <= len(v) and all(a <= b for a, b in zip(y, v))
+    )
 
 
 def subdiagrams_oracle(z):

@@ -110,20 +110,24 @@ def test_glr_decomposition_property(y, w):
 
 
 def test_glr_decomposition_reads_each_multiplicity_from_the_lr_search(monkeypatch):
-    # route one is one free search on (W, y) per reading direction; the z
-    # with more than r rows, here (3,1,1,1) and (2,2,1,1), are dropped
+    # route one is one search on (W, y) per reading direction under a
+    # ceiling of r rows; the z with more than r rows, here (3,1,1,1) and
+    # (2,2,1,1), are never built
     y, w, r = (2, 1), (2, 1), 3
-    searched = []
+    searched, returned = [], []
     real = crystal.lr_families
 
-    def spied(shape, start, order):
+    def spied(shape, start, order, ceiling=None):
         searched.append((shape, start, order))
-        return real(shape, start, order)
+        assert ceiling is not None and len(ceiling) == r
+        returned.append(real(shape, start, order, ceiling))
+        return returned[-1]
 
     monkeypatch.setattr(crystal, "lr_families", spied)
     rep = verify_decomposition_glr(y, w, r)
     sw = SkewShape(w)
     assert searched == [(sw, y, middle_eastern(sw)), (sw, y, far_eastern(sw))]
+    assert all(len(z) <= r for groups in returned for z in groups)
     assert rep.passed
     fits = [z for z in partitions_of(6) if len(z) <= r and partition_contains(z, y)]
     assert rep.per_shape == {z: len(glr_lr_tableaux(sw, y, z)) for z in fits if glr_lr_tableaux(sw, y, z)}
@@ -141,14 +145,14 @@ def test_glmn_decomposition_small():
 
 def test_glmn_decomposition_searches_only_the_z_that_contain_y(monkeypatch):
     # a z without y in it has an empty LR set, so it costs no search; each
-    # z that holds y costs one free search on Z/Y, which serves every w
+    # z that holds y costs one uncapped search on Z/Y, which serves every w
     y, w, m, n = (2, 1), (2, 1), 2, 1
     searched = []
     real = crystal.lr_families
 
-    def spied(shape, start, order):
+    def spied(shape, start, order, ceiling=None):
         searched.append((shape, start))
-        return real(shape, start, order)
+        return real(shape, start, order, ceiling)
 
     monkeypatch.setattr(crystal, "lr_families", spied)
     rep = verify_decomposition_glmn(y, w, m, n)

@@ -9,6 +9,7 @@ import strategies as sts
 from oracles import (
     aitken_oracle,
     companion_tableau_via_pictures,
+    conjugate_oracle,
     filling_of,
     glmn_lr_oracle,
     glr_lr_oracle,
@@ -166,12 +167,19 @@ def test_lr_families_come_in_lexicographic_order(y, w, spec):
 
 
 def test_grouped_families_equal_the_capped_searches():
-    # one free search per (shape, start, order) holds, under each end
-    # partition, the family the capped search builds for it: the same
-    # members in the same order, and no group for any other partition
+    # one search with no ceiling per (shape, start, order) holds, under each
+    # end partition, the family the public functions build for it: the same
+    # members in the same order, and no group for any other partition. Under
+    # a ceiling of r rows, or of one end, the search keeps exactly the groups
+    # whose end fits in the ceiling, member for member
     def check(shape, start, order, ends, capped):
+        free = lr_families(shape, start, order)
         expected = {end: capped(end) for end in ends}
-        assert lr_families(shape, start, order) == {end: ts for end, ts in expected.items() if ts}
+        assert free == {end: ts for end, ts in expected.items() if ts}
+        k = sum(start) + shape.size
+        for ceiling in [(k,) * r for r in (1, 2, 3)] + list(ends):
+            fits = {end: ts for end, ts in free.items() if partition_contains(ceiling, end)}
+            assert lr_families(shape, start, order, ceiling) == fits, (shape, start, ceiling)
         return len(expected)
 
     straight = {(y, w) for y, w, _ in straight_triples(7)}
@@ -190,6 +198,28 @@ def test_grouped_families_equal_the_capped_searches():
             ends = [e for e in partitions_of(zy.size + sum(inner)) if partition_contains(e, inner)]
             checked += check(zy, inner, o, ends, lambda e: glmn_lr_tableaux(y, SkewShape(e, inner), z, order=o))
     assert checked == 37608
+
+
+def test_both_families_are_conjugation_symmetric():
+    # c^{z'}_{y',w'} = c^z_{y,w} for every straight triple with |z| <= 8, as
+    # group z of (W, y) and as group w of (Z/Y, ()). Counts only: the
+    # pictures of the conjugate triple are not the transposed pictures
+    def classical(y, w, z):
+        sw = SkewShape(w)
+        return len(lr_families(sw, y, middle_eastern(sw)).get(z, ()))
+
+    def dual(y, w, z):
+        zy = SkewShape(z, y)
+        return len(lr_families(zy, (), middle_eastern(zy)).get(w, ()))
+
+    triples = straight_triples(8)
+    nonzero = 0
+    for y, w, z in triples:
+        conjugates = tuple(map(conjugate_oracle, (y, w, z)))
+        for count in (classical, dual):
+            assert count(*conjugates) == count(y, w, z), (y, w, z, count.__name__)
+        nonzero += classical(y, w, z) > 0
+    assert (len(triples), nonzero) == (4136, 1330)
 
 
 def test_membership_predicates_match_their_oracles():

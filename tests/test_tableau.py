@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
-from oracles import filling_of, glmn_oracle, ssyt_oracle
-from lrpictures.diagram import SkewShape, subdiagrams
+from oracles import filling_of, glmn_oracle, hook_fillings_oracle, ssyt_oracle
+from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.tableau import (
     Tableau,
     bar,
@@ -234,6 +234,22 @@ def test_glmn_matches_oracle(shape, m, n):
     ours = {tuple(sorted(filling_of(t).items())) for t in enumerate_glmn(shape, m, n)}
     theirs = {tuple(sorted(f.items())) for f in glmn_oracle(shape, m, n)}
     assert ours == theirs
+
+
+def test_hook_fillings_oracle_counts_the_glmn_fillings():
+    # Berele and Regev's sum, anchored to the brute-force filter where that
+    # runs (|z| <= 5), then checked against the library's enumerator for
+    # every (z, y) with |z| <= 7 on four alphabets
+    pairs = [(z, y) for z in partitions_up_to(7) for y in subdiagrams(z)]
+    checked = 0
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for z, y in pairs:
+            count = hook_fillings_oracle(z, y, m, n)
+            if sum(z) <= 5:
+                assert count == len(glmn_oracle(SkewShape(z, y), m, n)), (z, y, m, n)
+            assert count == len(enumerate_glmn(SkewShape(z, y), m, n)), (z, y, m, n)
+            checked += 1
+    assert checked == 1796
 
 
 @given(sts.skew_shapes(max_size=5))
