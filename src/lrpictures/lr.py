@@ -55,14 +55,18 @@ def glr_lr_tableaux(
 
     Group z of the pruned search capped at z (``lr_families``). Every
     member has content z - y: it holds z_v - y_v entries v for each row v.
-    So ``max_entry`` keeps the whole family when no row of z/y past it holds
-    a box, and empties it when one does.
+    So the family is empty, and nothing is searched, when |y| + |W| is not
+    |z|; and ``max_entry`` keeps the whole family when no row of z/y past it
+    holds a box, and empties it when one does.
     """
     shape = w if isinstance(w, SkewShape) else SkewShape(w)
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
-    k = len(z) if max_entry is None else _nonnegative("max_entry", max_entry)
-    if sum(z[k:]) > sum(y[k:]):  # a box of z/y below row k needs an entry past k
+    if max_entry is not None:
+        k = _nonnegative("max_entry", max_entry)
+        if sum(z[k:]) > sum(y[k:]):  # a box of z/y below row k needs an entry past k
+            return ()
+    if sum(y) + shape.size != sum(z):
         return ()
     return lr_families(shape, y, order, z).get(z, ())
 
@@ -90,7 +94,8 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
 
     ``w`` is a partition or a skew shape. A member's reading grows W.inner
     into W.outer (for a partition ``w``: content ``w`` and a lattice word),
-    so this is the classical search on Z/Y for that pair.
+    so this is the classical search on Z/Y for that pair. It runs only when
+    z contains y and |y| + |W| is |z|: a filling of Z/Y adds |Z/Y| boxes.
     """
     y, z = as_partition(y), as_partition(z)
     start, end = _ends(w)
@@ -98,6 +103,8 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
         return ()
     shape = _skew(z, y)
     order = _checked_order(shape, order)
+    if sum(start) + shape.size != sum(end):
+        return ()
     return lr_families(shape, start, order, end).get(end, ())
 
 

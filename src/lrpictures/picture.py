@@ -130,36 +130,51 @@ def _codomain_tables(a: AdmissibleOrder):
     return tuple(map(tuple, succs)), roots
 
 
-def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int, ...]]:
-    """All bijections from ``a_prime``'s cells onto ``a``'s cells, both skew
-    shapes, that respect both orders, found by a depth-first loop.
+def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> list[tuple]:
+    """The image tuples of all bijections from ``a_prime``'s cells onto
+    ``a``'s cells, both skew shapes, that respect both orders, listed as a
+    depth-first loop finds them: each tuple holds the images of the domain
+    cells in row-major order.
 
-    Position i is the cell u = ``a_prime.cells[i]``; its image is a rank c in
-    ``a``, naming ``a.cells[c]``.  The loop reads ``a_prime``'s neighbour
-    positions (``_up``, ``_right``) and ``_codomain_tables(a)``.  c survives when:
+    The loop gives each position i, in turn, a rank c.  It runs from the
+    domain, position i naming the cell u = ``a_prime.cells[i]`` and rank c
+    ``a.cells[c]``, or, when ``turned``, from the codomain, where it finds
+    the inverses: u = ``a.cells[i]`` and c names ``a_prime.cells[c]``.  The
+    loop reads the positions' neighbours (``_up``, ``_right``) and the
+    ranks' ``_codomain_tables``.  c survives when:
 
-    * componentwise-comparable domain cells map to order-compatible ranks.
-      The earlier cells already do, so the images of u's upper and right
-      neighbours, which come first, bound c: an earlier v <= u lies in a
-      higher row, so v <= up(u), and an earlier v >= u in a column further
+    * componentwise-comparable cells of the positions get order-compatible
+      ranks.  The earlier cells already do, so the ranks of u's upper and
+      right neighbours, which come first, bound c: an earlier v <= u lies in
+      a higher row, so v <= up(u), and an earlier v >= u in a column further
       right, so v >= right(u), both neighbours being cells by convexity; so c
-      lies above the rank of up(u)'s image and below that of right(u)'s; and
-    * every codomain cell componentwise below c is already an image, so the
-      partial inverse respects assignment order; by convexity, that holds once
-      c's left and upper neighbours are images, which an int bitset tracks.
+      lies above the rank of up(u) and below that of right(u); and
+    * every rank cell componentwise below c is already taken, so the partial
+      inverse respects assignment order; by convexity, that holds once c's
+      left and upper neighbours are taken, which an int bitset tracks.
+
+    As it places c at i, the loop stores the codomain cell in the list of
+    images by domain position, ``img[i] = a.cells[c]``, or, turned,
+    ``img[c] = a.cells[i]``; a path from the root sets every slot, so at a
+    leaf the list is whole and one ``itemgetter`` reads it in row-major order.
     """
     n = len(a)
     if n == 0:
         return [()]
-    up, right = a_prime._up, a_prime._right
-    succs, roots = _codomain_tables(a)
+    cod = a.cells
+    get = itemgetter(*a_prime._at) if n > 1 else tuple  # a lone position gives no tuple
+    positions, ranks = (a, a_prime) if turned else (a_prime, a)
+    up, right = positions._up, positions._right
+    succs, roots = _codomain_tables(ranks)
     perm = [0] * n
-    # at position i: candidates not tried yet, images so far, cells that qualify
+    img = [None] * n
+    # at position i: candidates not tried yet, ranks taken so far, ranks that qualify
     free = [0] * n
     placed = [0] * n
     ready = [0] * n
     ready[0] = free[0] = roots
     out = []
+    last = n - 1
     i = 0
     while i >= 0:
         left = free[i]
@@ -169,10 +184,14 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder) -> list[tuple[int,
         bit = left & -left
         free[i] = left ^ bit
         c = bit.bit_length() - 1
-        perm[i] = c
-        if i == n - 1:
-            out.append(tuple(perm))
+        if turned:
+            img[c] = cod[i]
+        else:
+            img[i] = cod[c]
+        if i == last:
+            out.append(get(img))
             continue
+        perm[i] = c
         now = placed[i] | bit
         avail = ready[i] ^ bit
         for d, other in succs[c]:
@@ -200,22 +219,23 @@ def enumerate_pictures(
     ``a_prime`` on ``x``), sorted by the image sequence over the row-major
     domain cells.
 
-    ``_bijections`` assigns images to domain cells, pruning as soon as either
-    the partial forward map or the partial inverse violates order-standardness;
-    both conditions are pairwise and monotone, so no completion of a pruned
-    branch survives.  A branch dies only at a domain cell whose upper or right
-    neighbour narrows its rank window: some unplaced codomain cell always has
-    its left and upper neighbours placed, so a window nothing narrows is never
-    empty.  The codomain's neighbours bound no window.  So the search runs
-    from whichever shape has fewer neighbour pairs, from ``x`` on a tie; run
-    from ``y``, it finds the inverses of the pictures, which are turned round.
-    Onto an antichain, which has no pairs, that takes about a quarter of the
-    tries.  Each order lays out its neighbour and row-major positions when it
-    is built, and the codomain tables are cached per order, so an order that
-    recurs, as a sweep's orders do, is set up once.
+    ``_bijections`` assigns ranks to the cells of one shape, pruning as soon
+    as either the partial map or its partial inverse violates
+    order-standardness; both conditions are pairwise and monotone, so no
+    completion of a pruned branch survives.  A branch dies only at a cell
+    whose upper or right neighbour narrows its rank window: some untaken rank
+    always has its left and upper neighbours taken, so a window nothing
+    narrows is never empty.  The other shape's neighbours bound no window.
+    So the search runs from whichever shape has fewer neighbour pairs, from
+    ``x`` on a tie; run from ``y`` (turned), it finds the inverses of the
+    pictures.  Onto an antichain, which has no pairs, that takes about a
+    quarter of the tries.  Each order lays out its neighbour and row-major
+    positions when it is built, and the rank tables are cached per order, so
+    an order that recurs, as a sweep's orders do, is set up once.
 
-    Each result becomes its picture's image tuple straight away, read through
-    the domain cells' row-major positions in ``a_prime``.  The sort runs on
+    From either side, the loop writes each map it finds straight into its
+    picture's image tuple, the codomain cells over the row-major domain
+    cells, so no result is turned round after the search.  The sort runs on
     those plain tuples, as cells order as their row-major indices, and the
     pictures are built last; no dict is made per picture.
     """
@@ -225,13 +245,6 @@ def enumerate_pictures(
         raise ValueError("a_prime is not an admissible order on the domain")
     if x.size != y.size:
         return ()
-    cod = a.cells  # the pictures reuse the codomain order's cell tuple
-    at = a_prime._at  # the domain cells' positions in a_prime, row-major
-    if _neighbour_pairs(a) < _neighbour_pairs(a_prime):
-        # x has a neighbour pair, so two cells at least: get returns a tuple
-        get = itemgetter(*at)
-        found = [get(dict(zip(q, cod))) for q in _bijections(a_prime, a)]
-    else:
-        found = [tuple([cod[perm[k]] for k in at]) for perm in _bijections(a, a_prime)]
+    found = _bijections(a, a_prime, _neighbour_pairs(a) < _neighbour_pairs(a_prime))
     found.sort()  # cell tuples order as their row-major indices
     return tuple([Picture._build(x, y, images) for images in found])

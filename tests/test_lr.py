@@ -265,6 +265,24 @@ def test_max_entry_keeps_the_whole_family_or_nothing():
             assert got == (() if any(a > b for a, b in zip(z[k:], padded[k:])) else family)
 
 
+def test_sizes_that_do_not_add_up_give_no_family_and_no_search():
+    # a member grows y by |W| boxes, so |y| + |W| != |z| leaves both families
+    # empty; the search is not entered, so the LR cache records no miss
+    from lrpictures import lr
+
+    misses = lr._glmn_lr.cache_info().misses
+    assert glr_lr_tableaux((5, 4, 3, 2, 1), (2, 1), (9,) * 6) == ()
+    assert glr_lr_tableaux(SkewShape((5, 4, 3), (2, 1)), (3, 2, 1), (5, 4, 3, 2)) == ()
+    assert glr_lr_tableaux((2, 1), (1,), (2, 1), order=far_eastern(SkewShape((2, 1)))) == ()
+    assert glmn_lr_tableaux((2, 1), (5, 4, 3, 2, 1), (9,) * 6) == ()
+    assert glmn_lr_tableaux((3, 2, 1), SkewShape((5, 4, 3), (2, 1)), (5, 4, 3, 2)) == ()
+    assert glmn_lr_tableaux((1,), (2, 1), (2, 1), order=far_eastern(SkewShape((2, 1), (1,)))) == ()
+    assert lr._glmn_lr.cache_info().misses == misses
+    # a refused argument is still refused
+    with pytest.raises(ValueError, match="max_entry must be nonnegative"):
+        glr_lr_tableaux(SkewShape((1,)), (1,), (3,), max_entry=-3)
+
+
 def test_order_must_be_admissible():
     from lrpictures import serialize
     from lrpictures.reading import AdmissibleOrder

@@ -187,6 +187,11 @@ def test_enumerate_matches_oracle(x, y, spec_a, spec_ap):
     assert ours == theirs
 
 
+def _both_sides(a, a_prime):
+    """The search's image tuples from the domain and, turned, from the codomain, each sorted."""
+    return sorted(picture._bijections(a, a_prime, False)), sorted(picture._bijections(a, a_prime, True))
+
+
 def test_enumerate_matches_oracle_on_every_small_pair():
     # every pair of equal-size skew shapes inside a 3x3 box with up to five
     # cells, under two mixed order pairs and, as a sweep does, under ME, FE and
@@ -194,7 +199,10 @@ def test_enumerate_matches_oracle_on_every_small_pair():
     # then as the domain order of the swapped search; orders recur from pair to
     # pair, so most searches read tables cached by an earlier one.  Both sides
     # list the maps in the order of their image sequences over the row-major
-    # domain cells
+    # domain cells.  Under ME, FE and the seeds the search itself also runs
+    # from both shapes, as enumerate_pictures picks only one, by its neighbour
+    # pairs, and never the codomain for most of these pairs: sorted, both
+    # sides' image tuples are the oracle's
     shapes = {}
     for outer in partitions_up_to(9, 3, 3):
         for inner in subdiagrams(outer):
@@ -216,10 +224,12 @@ def test_enumerate_matches_oracle_on_every_small_pair():
                 assert ours == pictures_oracle(x, y, a, a_prime), (x, y)
             for make in makes:
                 a, a_prime = make(y), make(x)
-                ours = [p.forward for p in enumerate_pictures(x, y, a, a_prime)]
-                assert ours == pictures_oracle(x, y, a, a_prime), (x, y)
-                ours = [p.forward for p in enumerate_pictures(y, x, a_prime, a)]
-                assert ours == pictures_oracle(y, x, a_prime, a), (y, x)
+                for dom, cod, order, order2 in ((x, y, a, a_prime), (y, x, a_prime, a)):
+                    oracle = pictures_oracle(dom, cod, order, order2)
+                    ours = [p.forward for p in enumerate_pictures(dom, cod, order, order2)]
+                    assert ours == oracle, (dom, cod)
+                    images = [tuple([f[u] for u in dom.cells()]) for f in oracle]
+                    assert _both_sides(order, order2) == (images, images), (dom, cod)
 
 
 def test_pictures_come_sorted_by_image_sequence():
@@ -279,7 +289,8 @@ def test_swapped_search_finds_the_inverses_on_every_sweep_pair():
 def test_pictures_onto_a_strip_are_the_standard_tableaux(rows, n):
     # a picture of a partition onto an antichain is a standard tableau of the
     # partition, so there are f^λ of them: far more than the permutation
-    # filter in oracles.py can list.  Both directions, three seeded order pairs
+    # filter in oracles.py can list.  Both directions, three seeded order
+    # pairs; in each, the search run from either shape finds the same images
     x, strip = SkewShape(rows), _strip(n)
     count = syt_count_oracle(rows)
     for seed in (1, 4, 9):
@@ -291,6 +302,7 @@ def test_pictures_onto_a_strip_are_the_standard_tableaux(rows, n):
             assert all(is_admissible_picture(p, order, order2) for p in pics)
             keys = [tuple(p.forward[c] for c in dom.cells()) for p in pics]
             assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))  # sorted, so distinct
+            assert _both_sides(order, order2) == (keys, keys)
         assert {omega(p) for p in fwd} == set(back)
 
 
@@ -334,21 +346,22 @@ def test_pictures_of_empty_and_one_cell_shapes():
 
 def test_two_cell_pictures_from_both_search_sides(monkeypatch):
     # a row has one neighbour pair and the 2-cell strip none, so the search
-    # runs from the strip in both directions: as it is from the strip, turned
-    # round onto it
+    # runs from the strip in both directions: turned, from the codomain, onto
+    # the strip, and from the domain out of it.  The spy records the cells
+    # of the side searched from and whether the search was turned
     row, strip = SkewShape((2,)), SkewShape((2, 1), (1,))
     searched = []
     search = picture._bijections
 
-    def spy(a, a_prime):
-        searched.append(a_prime.cells)
-        return search(a, a_prime)
+    def spy(a, a_prime, turned):
+        searched.append(((a if turned else a_prime).cells, turned))
+        return search(a, a_prime, turned)
 
     monkeypatch.setattr(picture, "_bijections", spy)
     a_row, a_strip = middle_eastern(row), middle_eastern(strip)
     onto = enumerate_pictures(row, strip, a_strip, a_row)
     back = enumerate_pictures(strip, row, a_row, a_strip)
-    assert searched == [a_strip.cells, a_strip.cells]
+    assert searched == [(a_strip.cells, True), (a_strip.cells, False)]
     assert [p.forward for p in onto] == pictures_oracle(row, strip, a_strip, a_row)
     assert [p.forward for p in back] == pictures_oracle(strip, row, a_row, a_strip)
     assert len(onto) == len(back) == 1 and {omega(p) for p in onto} == set(back)
