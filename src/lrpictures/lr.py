@@ -179,15 +179,25 @@ def lr_families(shape: SkewShape, start, order: AdmissibleOrder, ceiling=None) -
     return _glmn_lr(shape, start, ceiling, order)
 
 
+def _admissible_under_me_and_fe(p: Picture) -> bool:
+    """``p`` is admissible under the ME pair of orders and under the FE pair."""
+    return all(
+        is_admissible_picture(p, make(p.codomain), make(p.domain)) for make in (middle_eastern, far_eastern)
+    )
+
+
 def picture_to_tableau(p: Picture, verify: bool = False) -> Tableau:
     """Entry of each domain cell = row coordinate of its image.
 
     Carries a picture into the LR family attached to its codomain: the result
     is a filling of the domain shape whose reading grows the codomain's inner
-    shape into its outer shape.
+    shape into its outer shape. With ``verify``, the input must be an
+    admissible picture and the output an LR member.
     """
     t = Tableau._build(p.domain, tuple([i for i, _ in p.images]))
     if verify:
+        if not _admissible_under_me_and_fe(p):
+            raise ValueError("picture_to_tableau input is not an admissible picture")
         if not is_glr_lr_tableau(t, p.codomain.inner, p.codomain.outer):
             raise ValueError("picture_to_tableau output is not an LR member for the codomain")
     return t
@@ -215,10 +225,8 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
         for (_, e), k in zip(t.items(), _p_indices(t, t.cells()))
     )
     p = Picture._build(t.shape, _skew(outer, base), images)
-    if verify:
-        for make in (middle_eastern, far_eastern):
-            if not is_admissible_picture(p, make(p.codomain), make(t.shape)):
-                raise ValueError("tableau_to_picture output is not an admissible picture")
+    if verify and not _admissible_under_me_and_fe(p):
+        raise ValueError("tableau_to_picture output is not an admissible picture")
     return p
 
 
@@ -227,7 +235,8 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
 
     The cell of ``q`` at (i, j) with entry k contributes the entry i at row k,
     column p(q; i, j) of the result. Equals picture_to_tableau of the swapped
-    tableau_to_picture over the empty base.
+    tableau_to_picture over the empty base. With ``verify``, the input must
+    be a two-family LR member and the output a classical one.
     """
     w = content(q)
     grid = {}
@@ -241,6 +250,8 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
         raise ValueError("input content is not a partition shape; not an LR tableau")
     t = Tableau._build(shape, tuple([grid[cell] for cell in shape.cells()]))
     if verify:
+        if not is_glmn_lr_tableau(q, q.shape.inner, w, q.shape.outer):
+            raise ValueError("companion_tableau input is not a two-family LR member")
         if not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
             raise ValueError("companion_tableau output is not an LR member for the input's shape")
     return t

@@ -8,7 +8,6 @@ order-standard into the second order.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 
 from .diagram import SkewShape, _integers
@@ -90,9 +89,9 @@ def is_pa_standard(mapping, target: AdmissibleOrder) -> bool:
     ranked compatibly in ``target``. The keys must form a skew shape: it is
     convex, so comparable keys are joined by right and down steps through
     keys, and as rank order is transitive, comparing each key with its right
-    and lower neighbours suffices."""
+    and lower neighbours suffices. ``target``'s cells are ranked here, per call."""
     mapping = dict(mapping)
-    rank = target._rank
+    rank = {c: k for k, c in enumerate(target.cells)}
     for (i, j), image in mapping.items():
         r = rank[image]
         for v in ((i, j + 1), (i + 1, j)):
@@ -108,28 +107,6 @@ def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrd
     return is_pa_standard(p.forward, a) and is_pa_standard(p.backward, a_prime)
 
 
-@lru_cache(maxsize=1 << 12)
-def _codomain_tables(a: AdmissibleOrder):
-    """Over ``a``'s cells, each named by its rank in ``a``: each cell's right
-    and lower neighbours, at most two, each paired with the rank of that
-    neighbour's other left or upper neighbour (-1 if none), and the bitset of
-    the cells with neither, read off ``a``'s neighbour ranks."""
-    left = [-1] * len(a)
-    for c, r in enumerate(a._right):
-        if r >= 0:  # r lies right of c
-            left[r] = c
-    succs = [[] for _ in a.cells]
-    roots = 0
-    for d, (u, v) in enumerate(zip(a._up, left)):  # u lies above d, v left of it
-        if u >= 0:
-            succs[u].append((d, v))
-        if v >= 0:
-            succs[v].append((d, u))
-        elif u < 0:
-            roots |= 1 << d
-    return tuple(map(tuple, succs)), roots
-
-
 def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> list[tuple]:
     """The image tuples of all bijections from ``a_prime``'s cells onto
     ``a``'s cells, both skew shapes, that respect both orders, listed as a
@@ -140,8 +117,8 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
     domain, position i naming the cell u = ``a_prime.cells[i]`` and rank c
     ``a.cells[c]``, or, when ``turned``, from the codomain, where it finds
     the inverses: u = ``a.cells[i]`` and c names ``a_prime.cells[c]``.  The
-    loop reads the positions' neighbours (``_up``, ``_right``) and the
-    ranks' ``_codomain_tables``.  c survives when:
+    loop reads the positions' ``_up`` and ``_right`` and the ranks'
+    ``_succs`` and ``_roots``, all laid out by the orders.  c survives when:
 
     * componentwise-comparable cells of the positions get order-compatible
       ranks.  The earlier cells already do, so the ranks of u's upper and
@@ -165,7 +142,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
     get = itemgetter(*a_prime._at) if n > 1 else tuple  # a lone position gives no tuple
     positions, ranks = (a, a_prime) if turned else (a_prime, a)
     up, right = positions._up, positions._right
-    succs, roots = _codomain_tables(ranks)
+    succs, roots = ranks._succs, ranks._roots
     perm = [0] * n
     img = [None] * n
     # at position i: candidates not tried yet, ranks taken so far, ranks that qualify
@@ -206,12 +183,6 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
     return out
 
 
-def _neighbour_pairs(order: AdmissibleOrder) -> int:
-    """The number of cells of ``order`` with an upper neighbour plus the number
-    with a right one: the pairs that bound a rank window in ``_bijections``."""
-    return 2 * len(order) - order._up.count(-1) - order._right.count(-1)
-
-
 def enumerate_pictures(
     x: SkewShape, y: SkewShape, a: AdmissibleOrder, a_prime: AdmissibleOrder
 ) -> tuple[Picture, ...]:
@@ -226,12 +197,12 @@ def enumerate_pictures(
     whose upper or right neighbour narrows its rank window: some untaken rank
     always has its left and upper neighbours taken, so a window nothing
     narrows is never empty.  The other shape's neighbours bound no window.
-    So the search runs from whichever shape has fewer neighbour pairs, from
-    ``x`` on a tie; run from ``y`` (turned), it finds the inverses of the
-    pictures.  Onto an antichain, which has no pairs, that takes about a
-    quarter of the tries.  Each order lays out its neighbour and row-major
-    positions when it is built, and the rank tables are cached per order, so
-    an order that recurs, as a sweep's orders do, is set up once.
+    So the search runs from whichever shape has fewer neighbour pairs
+    (``_pairs``), from ``x`` on a tie; run from ``y`` (turned), it finds the
+    inverses of the pictures.  Onto an antichain, which has no pairs, that
+    takes about a quarter of the tries.  Each order lays out all the search
+    reads when it is built, so an order that recurs, as a sweep's orders do,
+    is set up once, and the search derives nothing from the orders.
 
     From either side, the loop writes each map it finds straight into its
     picture's image tuple, the codomain cells over the row-major domain
@@ -245,6 +216,6 @@ def enumerate_pictures(
         raise ValueError("a_prime is not an admissible order on the domain")
     if x.size != y.size:
         return ()
-    found = _bijections(a, a_prime, _neighbour_pairs(a) < _neighbour_pairs(a_prime))
+    found = _bijections(a, a_prime, a._pairs < a_prime._pairs)
     found.sort()  # cell tuples order as their row-major indices
     return tuple([Picture._build(x, y, images) for images in found])

@@ -3,11 +3,12 @@
 A total order on a cell set is admissible when every cell weakly northeast of
 another (row at most, column at least) comes first. The two classical examples
 scan rows top to bottom reading each right to left, and columns right to left
-reading each top to bottom. An ``AdmissibleOrder`` is checked once, when it
-is built (the constructors below are memoized), and ``is_admissible`` only
-asks whether it lists the cells of a given shape. When it is built, an order
-also lays out its neighbour and row-major positions, which the searches and
-the reading word walk; no other module derives them from the cells.
+reading each top to bottom. An ``AdmissibleOrder`` built from outside input is
+checked once, when it is built; the constructors below (memoized) make
+admissible sequences and skip the checks. ``is_admissible`` only asks whether
+an order lists the cells of a given shape. When it is built, an order lays out
+all that the searches and the reading word walk; no other module derives it
+from the cells.
 """
 
 from __future__ import annotations
@@ -21,15 +22,23 @@ from .tableau import Tableau
 
 
 class AdmissibleOrder:
-    """An admissible order on a finite cell set, stored as the explicit sequence;
-    building one from a sequence that is not admissible raises ValueError.
-    Per position, ``_up`` and ``_right`` hold the positions of the upper and
-    right neighbours (-1 if absent); ``_at`` holds each row-major cell's position,
-    and ``_reader``, its inverse, takes a row-major entry vector to the reading word."""
+    """An admissible order on a finite cell set, stored as the explicit sequence.
 
-    __slots__ = ("cells", "_rank", "_row_major", "_up", "_right", "_at", "_reader", "_hash")
+    ``AdmissibleOrder(cells)`` checks outside input, raising ValueError on
+    cells that are not integer pairs, a repeat or an inadmissible sequence;
+    it ends in ``_build``, which only lays out a sequence the library made
+    admissible itself. Per position, ``_up`` and ``_right`` hold the
+    positions of the upper and right neighbours (-1 if absent); ``_at`` holds
+    each row-major cell's position, and ``_reader``, its inverse, takes a
+    row-major entry vector to the reading word. For the picture search,
+    ``_succs`` pairs each cell's right and lower neighbours with the position
+    of that neighbour's other left or upper neighbour (-1 if none), ``_roots``
+    is the bitset of the cells with neither, and ``_pairs`` counts the upper
+    plus the right neighbours."""
 
-    def __init__(self, cells):
+    __slots__ = ("cells", "_row_major", "_up", "_right", "_at", "_reader", "_succs", "_roots", "_pairs", "_hash")
+
+    def __new__(cls, cells):
         cells = tuple(_integers((i, j)) for i, j in cells)
         if len(set(cells)) != len(cells):
             raise ValueError("order repeats a cell")
@@ -40,18 +49,37 @@ class AdmissibleOrder:
                 if row <= i and col >= j:
                     raise ValueError(f"order is not admissible: {(row, col)} must come before {(i, j)}")
             rightmost[i] = j  # the later cells of row i all lie left of column j
+        return cls._build(cells)
+
+    @classmethod
+    def _build(cls, cells: tuple) -> AdmissibleOrder:
+        self = object.__new__(cls)
         self.cells = cells
-        self._rank = rank = {c: k for k, c in enumerate(cells)}
+        rank = {c: k for k, c in enumerate(cells)}
         self._row_major = tuple(sorted(cells))
-        self._up = tuple([rank.get((i - 1, j), -1) for i, j in cells])
-        self._right = tuple([rank.get((i, j + 1), -1) for i, j in cells])
+        self._up = up = tuple([rank.get((i - 1, j), -1) for i, j in cells])
+        self._right = right = tuple([rank.get((i, j + 1), -1) for i, j in cells])
         self._at = at = tuple([rank[c] for c in self._row_major])
         picks = [0] * len(at)  # per position, the row-major index of its cell
         for r, k in enumerate(at):
             picks[k] = r
         # itemgetter returns a bare item for one index; up to one cell, reading keeps the order
         self._reader = itemgetter(*picks) if len(picks) > 1 else tuple
+        succs = [[] for _ in cells]
+        roots = 0
+        for d, ((i, j), u) in enumerate(zip(cells, up)):
+            v = rank.get((i, j - 1), -1)  # u lies above d, v left of it
+            if u >= 0:
+                succs[u].append((d, v))
+            if v >= 0:
+                succs[v].append((d, u))
+            elif u < 0:
+                roots |= 1 << d
+        self._succs = tuple(map(tuple, succs))
+        self._roots = roots
+        self._pairs = 2 * len(cells) - up.count(-1) - right.count(-1)
         self._hash = hash(cells)  # orders key the search caches, so hash them once
+        return self
 
     def __len__(self):
         return len(self.cells)
@@ -74,13 +102,13 @@ class AdmissibleOrder:
 @lru_cache(maxsize=1 << 12)
 def middle_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Rows top to bottom, each row right to left."""
-    return AdmissibleOrder(sorted(shape.cells(), key=lambda c: (c[0], -c[1])))
+    return AdmissibleOrder._build(tuple(sorted(shape.cells(), key=lambda c: (c[0], -c[1]))))
 
 
 @lru_cache(maxsize=1 << 12)
 def far_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Columns right to left, each column top to bottom."""
-    return AdmissibleOrder(sorted(shape.cells(), key=lambda c: (-c[1], c[0])))
+    return AdmissibleOrder._build(tuple(sorted(shape.cells(), key=lambda c: (-c[1], c[0]))))
 
 
 def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
@@ -109,7 +137,7 @@ def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
         pick = rng.choice(minimal)
         ends[pick[0] - 1] -= 1
         out.append(pick)
-    return AdmissibleOrder(out)
+    return AdmissibleOrder._build(tuple(out))
 
 
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:

@@ -304,6 +304,39 @@ def test_repeated_map_cell_is_exit_2(capsys, tmp_path):
     assert "twice" in err
 
 
+ROW2 = {"outer": [2], "inner": []}
+# the identity on a row: a bijection whose phi image, [[1,1]], is an LR
+# member, but not an admissible picture
+ROW2_IDENTITY = {"domain": ROW2, "codomain": ROW2, "map": [[[1, 1], [1, 1]], [[1, 2], [1, 2]]]}
+
+
+@pytest.mark.parametrize(
+    "argv, given, named",
+    [
+        ("map phi --input FILE", ROW2_IDENTITY, "picture_to_tableau input is not an admissible picture"),
+        ("map phitilde --input FILE", ROW2_IDENTITY, "picture_to_tableau input is not an admissible picture"),
+        # a decreasing row, whose companion is that of the member [[1],[1,2]]
+        ("map phihat --input FILE", {"shape": {"outer": [3, 2], "inner": [2]}, "rows": [[1], [2, 1]]},
+         "companion_tableau input is not a two-family LR member"),
+        ("map psi --y - --input FILE", {"shape": {"outer": [2, 1], "inner": []}, "rows": [[2, 1], [1]]},
+         "tableau_to_picture output is not an admissible picture"),
+        ("map omega --input FILE", {"domain": ROW2, "codomain": ROW2, "map": {"a": 1}},
+         "'map' must be an array of cell pairs"),
+        ("enumerate pictures --domain 2 --codomain 2 --order2 @FILE", [[1, 1]],
+         "a_prime is not an admissible order on the domain"),
+        ("enumerate ssyt --shape 2/3 --max-entry 2", None, "bad shape '2/3'"),
+    ],
+)
+def test_inputs_the_library_refuses_are_exit_2(capsys, tmp_path, argv, given, named):
+    # FILE names a file holding ``given``
+    path = tmp_path / "given.json"
+    path.write_text(json.dumps(given))
+    code, out, err = run(capsys, *argv.replace("FILE", str(path)).split())
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_render_cli(capsys, tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps([2, 1]))

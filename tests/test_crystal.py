@@ -43,6 +43,8 @@ def test_operator_spot_values():
 def test_operator_validation():
     with pytest.raises(ValueError):
         lower((0, 1), 1)
+    with pytest.raises(ValueError, match="operator index"):
+        lower((1,), 0)
     with pytest.raises(ValueError):
         raise_((1,), 0)
 

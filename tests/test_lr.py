@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +355,50 @@ def test_companion_rejects_non_lattice_input():
     q = Tableau(SkewShape((2,)), ((1, 2),))
     with pytest.raises(ValueError):
         companion_tableau(q, verify=True)
+
+
+def test_picture_to_tableau_verifies_exactly_the_admissible_pictures():
+    # every bijection between equal-size skew shapes inside partitions of up
+    # to four cells: verify=True accepts exactly the pictures the search
+    # lists, and so refuses bijections whose tableau alone is an LR member
+    shapes = [SkewShape(z, y) for z in partitions_up_to(4) for y in subdiagrams(z)]
+    members_refused = 0
+    for x in shapes:
+        for y in shapes:
+            if x.size != y.size:
+                continue
+            listed = set(enumerate_pictures(x, y, middle_eastern(y), middle_eastern(x)))
+            for images in permutations(y.cells()):
+                p = Picture(x, y, dict(zip(x.cells(), images)))
+                try:
+                    picture_to_tableau(p, verify=True)
+                except ValueError:
+                    assert p not in listed, p
+                    members_refused += is_glr_lr_tableau(picture_to_tableau(p), y.inner, y.outer)
+                else:
+                    assert p in listed, p
+    assert members_refused > 0
+
+
+def test_companion_tableau_verifies_exactly_the_two_family_members():
+    # every filling with entries up to 3 of every skew shape Z/Y with |z| <= 5
+    for z in partitions_up_to(5):
+        for y in subdiagrams(z):
+            shape = SkewShape(z, y)
+            order = middle_eastern(shape)
+            members = {
+                tuple(f[c] for c in shape.cells())
+                for w in partitions_of(shape.size, 3)
+                for f in glmn_lr_oracle(y, w, z, order)
+            }
+            for entries in product((1, 2, 3), repeat=shape.size):
+                q = Tableau._build(shape, entries)
+                try:
+                    companion_tableau(q, verify=True)
+                except ValueError:
+                    assert entries not in members, q
+                else:
+                    assert entries in members, q
 
 
 def test_roundtrips_across_random_orders():

@@ -153,7 +153,8 @@ def test_reading_rejects_mismatched_order():
 
 
 def _layout(order):
-    """The neighbour and row-major positions of ``order``, written out from its cells."""
+    """Every field ``AdmissibleOrder._build`` lays out but the reader, written
+    out from the cells of ``order`` by neighbour lookups."""
     cells = list(order.cells)
 
     def position(cell):
@@ -162,17 +163,32 @@ def _layout(order):
     up = tuple(position((i - 1, j)) for i, j in cells)
     right = tuple(position((i, j + 1)) for i, j in cells)
     at = tuple(cells.index(c) for c in sorted(cells))
-    return up, right, at
+    succs = []  # per cell, its right and lower neighbours with their other left or upper one
+    for i, j in cells:
+        nexts = {position((i, j + 1)): position((i - 1, j + 1)), position((i + 1, j)): position((i + 1, j - 1))}
+        nexts.pop(-1, None)
+        succs.append(tuple(sorted(nexts.items())))
+    roots = sum(1 << k for k, (i, j) in enumerate(cells) if up[k] < 0 and (i, j - 1) not in cells)
+    pairs = sum(k >= 0 for k in up + right)
+    return {
+        "cells": order.cells, "_row_major": tuple(sorted(cells)), "_up": up, "_right": right, "_at": at,
+        "_succs": tuple(succs), "_roots": roots, "_pairs": pairs, "_hash": hash(order.cells),
+    }
 
 
 def test_orders_lay_out_their_neighbour_and_row_major_positions():
+    # every field of an order the library draws, without the checks of
+    # outside input, is the one the checking constructor lays out from the
+    # same cells, and a rebuild from the cells by neighbour lookups
     box = subdiagrams((3, 3, 3))
     shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
     # the disconnected shape, and the 0-cell and 1-cell orders, by name
     shapes += [SkewShape((2, 1), (1,)), SkewShape(()), SkewShape((1,))]
+    fields = [name for name in AdmissibleOrder.__slots__ if name != "_reader"]
+    assert sorted(fields) == sorted(_layout(middle_eastern(shapes[-1])))
     for shape in shapes:
         orders = [middle_eastern(shape), far_eastern(shape)]
-        orders += [random_admissible_order(shape, seed) for seed in range(3)]
+        orders += [random_admissible_order(shape, seed) for seed in range(10)]
         entries = iter(range(1, shape.size + 1))  # distinct entries, one per cell
         widths = [shape.outer[i - 1] - shape.inner_width(i) for i in range(1, len(shape.outer) + 1)]
         t = Tableau(shape, [[next(entries) for _ in range(width)] for width in widths])
@@ -180,8 +196,8 @@ def test_orders_lay_out_their_neighbour_and_row_major_positions():
             expected = _layout(order)
             pickled = pickle.loads(pickle.dumps(order))
             loaded = serialize.order_from_obj(serialize.order_to_obj(order))
-            for copy in (order, pickled, loaded):
-                assert (copy._up, copy._right, copy._at) == expected, (shape, order)
+            for copy in (order, AdmissibleOrder(order.cells), pickled, loaded):
+                assert {name: getattr(copy, name) for name in fields} == expected, (shape, order)
                 assert reading(t, copy) == tuple(dict(t.items())[c] for c in order.cells)
 
 
