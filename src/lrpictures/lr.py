@@ -20,7 +20,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .diagram import SkewShape, _add_boxes, _nonnegative, _skew, as_partition, is_hook, partition_contains
-from .picture import Picture, is_admissible_picture
+from .picture import Picture, is_admissible_picture, omega
 from .reading import AdmissibleOrder, far_eastern, is_admissible, middle_eastern
 from .tableau import Tableau, _p_indices, content, is_semistandard
 
@@ -233,27 +233,18 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
 def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     """The classical LR tableau paired with a two-family LR tableau.
 
-    The cell of ``q`` at (i, j) with entry k contributes the entry i at row k,
-    column p(q; i, j) of the result. Equals picture_to_tableau of the swapped
-    tableau_to_picture over the empty base. With ``verify``, the input must
-    be a two-family LR member and the output a classical one.
+    Built as the composite through pictures: ``tableau_to_picture`` over the
+    empty base, ``omega``, then ``picture_to_tableau``. So the cell of ``q``
+    at (i, j) with entry k puts the entry i at row k, column p(q; i, j) of the
+    result. An input whose ME reading is not a lattice word is refused. With
+    ``verify``, the input must be a two-family LR member, checked before the
+    map runs, and the output a classical one.
     """
-    w = content(q)
-    grid = {}
-    for (cell, e), k in zip(q.items(), _p_indices(q, q.cells())):
-        target = (e, k)
-        if target in grid:
-            raise ValueError(f"two cells of the input land on {target}")
-        grid[target] = cell[0]
-    shape = SkewShape(w)
-    if set(grid) != set(shape.cells()):
-        raise ValueError("input content is not a partition shape; not an LR tableau")
-    t = Tableau._build(shape, tuple([grid[cell] for cell in shape.cells()]))
-    if verify:
-        if not is_glmn_lr_tableau(q, q.shape.inner, w, q.shape.outer):
-            raise ValueError("companion_tableau input is not a two-family LR member")
-        if not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
-            raise ValueError("companion_tableau output is not an LR member for the input's shape")
+    if verify and not is_glmn_lr_tableau(q, q.shape.inner, content(q), q.shape.outer):
+        raise ValueError("companion_tableau input is not a two-family LR member")
+    t = picture_to_tableau(omega(tableau_to_picture(q)))
+    if verify and not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
+        raise ValueError("companion_tableau output is not an LR member for the input's shape")
     return t
 
 

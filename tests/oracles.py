@@ -3,11 +3,9 @@
 Everything here is written straight from the defining conditions as
 filter-the-universe searches, sharing no logic with the package enumerators
 (only the plain data containers), so agreement between the two routes is
-evidence, not tautology. The one composite, ``companion_tableau_via_pictures``,
-reaches ``companion_tableau``'s answer through three other library maps. The
-counting formulas (hook length, hook content, the Aitken and Jacobi-Trudi
-determinants, and Berele and Regev's sum for the (m|n) fillings) list
-nothing, so they reach sizes no filter can.
+evidence, not tautology. The counting formulas (hook length, hook content,
+the Aitken and Jacobi-Trudi determinants, and Berele and Regev's sum for the
+(m|n) fillings) list nothing, so they reach sizes no filter can.
 """
 
 import random
@@ -17,8 +15,6 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from lrpictures.diagram import SkewShape
-from lrpictures.lr import picture_to_tableau, tableau_to_picture
-from lrpictures.picture import omega
 
 
 def _neighbors(shape, cell):
@@ -325,10 +321,10 @@ def tensor_raise(word, i):
     return None if ev is None else u + ev
 
 
-def companion_tableau_via_pictures(q):
-    """``companion_tableau`` as the composite swap over the empty base:
-    tableau -> picture -> swap -> tableau."""
-    return picture_to_tableau(omega(tableau_to_picture(q, base=())))
+def companion_oracle(filling):
+    """The companion of a two-family LR filling, as a cell -> entry dict: the
+    cell (i, j) holding k puts i at (k, p(i, j))."""
+    return {(k, p_index_oracle(filling, cell)): cell[0] for cell, k in filling.items()}
 
 
 def filling_of(tableau):

@@ -325,6 +325,12 @@ ROW2_IDENTITY = {"domain": ROW2, "codomain": ROW2, "map": [[[1, 1], [1, 1]], [[1
         ("enumerate pictures --domain 2 --codomain 2 --order2 @FILE", [[1, 1]],
          "a_prime is not an admissible order on the domain"),
         ("enumerate ssyt --shape 2/3 --max-entry 2", None, "bad shape '2/3'"),
+        # a repeat in column 1, then a row whose reading is not a lattice word:
+        # the input check runs before the map
+        ("map phihat --input FILE", {"shape": {"outer": [2, 1], "inner": []}, "rows": [[1, 2], [1]]},
+         "companion_tableau input is not a two-family LR member"),
+        ("map phihat --input FILE", {"shape": {"outer": [2], "inner": []}, "rows": [[1, 2]]},
+         "companion_tableau input is not a two-family LR member"),
     ],
 )
 def test_inputs_the_library_refuses_are_exit_2(capsys, tmp_path, argv, given, named):

@@ -7,6 +7,7 @@ import strategies as sts
 from oracles import subdiagrams_oracle
 from lrpictures.diagram import (
     SkewShape,
+    _skew,
     add_box,
     add_boxes,
     as_partition,
@@ -18,7 +19,8 @@ from lrpictures.diagram import (
     partitions_up_to,
     subdiagrams,
 )
-from lrpictures.lr import lr_coefficient
+from lrpictures.lr import lr_coefficient, lr_families
+from lrpictures.reading import middle_eastern
 
 
 def test_as_partition_canonicalizes():
@@ -103,6 +105,21 @@ def test_equal_shapes_are_one_object():
     assert pickle.loads(pickle.dumps(shape)) is shape
 
 
+def test_equal_shapes_built_apart_find_the_same_cached_values():
+    # once the bounded table of _skew has dropped a shape, building it again
+    # gives a second object; the caches keyed by shapes must find their
+    # entries through it by comparing fields
+    shape = SkewShape((4, 2, 1), (1,))
+    order = middle_eastern(shape)
+    families = lr_families(shape, (), order)
+    _skew.cache_clear()
+    again = SkewShape((4, 2, 1), (1,))
+    assert again is not shape
+    assert again == shape and hash(again) == hash(shape)
+    assert middle_eastern(again) is order
+    assert lr_families(again, (), middle_eastern(again)) is families
+
+
 def test_skew_shape_rejects_bad_inner():
     with pytest.raises(ValueError):
         SkewShape((2,), (1, 1))
@@ -154,6 +171,7 @@ def test_add_boxes_agrees_with_first_invalid_step(word):
 def test_partition_counts():
     # 1, 1, 2, 3, 5, 7, 11, 15, 22 partitions of 0..8
     assert [len(partitions_of(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert partitions_of(-1) == ()
     assert partitions_of(4, max_rows=2) == ((4,), (3, 1), (2, 2))
     assert partitions_of(4, max_cols=2) == ((2, 2), (2, 1, 1), (1, 1, 1, 1))
 

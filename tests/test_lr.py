@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import strategies as sts
 from oracles import (
     aitken_oracle,
-    companion_tableau_via_pictures,
+    companion_oracle,
     conjugate_oracle,
     filling_of,
     glmn_lr_oracle,
@@ -63,7 +63,15 @@ def test_worked_family_enumeration():
 def test_worked_family_companions():
     for q, t in FAMILY.items():
         assert companion_tableau(q, verify=True) == t
-        assert companion_tableau_via_pictures(q) == t
+        assert companion_oracle(filling_of(q)) == filling_of(t)
+
+
+def test_companions_match_the_definition_on_every_two_family_member():
+    # every two-family member of every straight triple with |z| <= 8
+    members = [q for y, w, z in straight_triples(8) for q in glmn_lr_tableaux(y, w, z)]
+    assert len(members) == 1351
+    for q in members:
+        assert filling_of(companion_tableau(q)) == companion_oracle(filling_of(q)), q
 
 
 def test_worked_family_membership_predicates():
@@ -351,10 +359,12 @@ def test_p_indices_match_the_definition_on_both_families():
 
 
 def test_companion_rejects_non_lattice_input():
-    # content (1, 1) but the reading word starts with 2
+    # content (1, 1) but the reading word starts with 2; the map itself
+    # refuses it, so verify=False does too
     q = Tableau(SkewShape((2,)), ((1, 2),))
-    with pytest.raises(ValueError):
-        companion_tableau(q, verify=True)
+    for verify, named in ((False, "does not grow the base into a partition"), (True, "not a two-family LR member")):
+        with pytest.raises(ValueError, match=named):
+            companion_tableau(q, verify=verify)
 
 
 def test_picture_to_tableau_verifies_exactly_the_admissible_pictures():

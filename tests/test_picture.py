@@ -68,6 +68,10 @@ def test_picture_call_and_equality():
     assert Picture(DOM, COD, swapped) != EXAMPLE
 
 
+def test_picture_repr_lists_each_domain_cell_with_its_image():
+    assert repr(EXAMPLE) == "Picture((1, 1)->(1, 4), (1, 2)->(1, 3), (2, 1)->(2, 3), (2, 2)->(2, 2))"
+
+
 def test_example_picture_admissible_under_any_orders():
     # this map satisfies both conditions for every admissible order pair
     makes = [middle_eastern, far_eastern] + [

@@ -46,6 +46,10 @@ def test_stored_hash_holds_across_pickling_and_a_second_route():
     assert far_eastern(shape) != me
 
 
+def test_order_repr_lists_the_cells():
+    assert repr(middle_eastern(SkewShape((2, 1)))) == "AdmissibleOrder([(1, 2), (1, 1), (2, 1)])"
+
+
 def test_canonical_orders_on_worked_shape():
     t = from_rows([[2, 2, 5], [3, 4]])
     assert reading(t, middle_eastern(t.shape)) == (5, 2, 2, 4, 3)
