@@ -14,10 +14,28 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
-from .diagram import Partition, SkewShape, _skew, as_partition, is_hook, partition_contains, partitions_of
+from .diagram import (
+    Partition,
+    SkewShape,
+    _integers,
+    _require_hooks,
+    _skew,
+    as_partition,
+    is_hook,
+    partition_contains,
+    partitions_of,
+)
 from .lr import lr_families
 from .reading import _check_word, far_eastern, middle_eastern
-from .tableau import _fillings, enumerate_glmn, glmn_weight
+from .tableau import _fillings, _iter_fillings, _letter_counts
+
+
+def _operator_index(i) -> int:
+    """``i`` as an int, checked like ``_integers``; ValueError unless positive."""
+    (i,) = _integers((i,))
+    if i < 1:
+        raise ValueError("operator index must be positive")
+    return i
 
 
 def _signature(word, i):
@@ -37,9 +55,7 @@ def _signature(word, i):
 
 def lower(word, i: int) -> tuple[int, ...] | None:
     """Flip the leftmost surviving i to i+1; None when every i is cancelled."""
-    word = _check_word(word)
-    if i < 1:
-        raise ValueError("operator index must be positive")
+    word, i = _check_word(word), _operator_index(i)
     plus, _ = _signature(word, i)
     if not plus:
         return None
@@ -52,9 +68,7 @@ def raise_(word, i: int) -> tuple[int, ...] | None:
 
     Exact inverse of lower wherever either is defined.
     """
-    word = _check_word(word)
-    if i < 1:
-        raise ValueError("operator index must be positive")
+    word, i = _check_word(word), _operator_index(i)
     _, minus = _signature(word, i)
     if not minus:
         return None
@@ -71,9 +85,7 @@ def is_highest_weight(word) -> bool:
 def weight(word) -> tuple[int, ...]:
     """Letter counts 1..max."""
     word = _check_word(word)
-    top = max(word, default=0)
-    counts = Counter(word)
-    return tuple(counts.get(k, 0) for k in range(1, top + 1))
+    return _letter_counts(word, max(word, default=0))
 
 
 class DecompositionReport:
@@ -156,8 +168,10 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
 def _glmn_weights(shape: SkewShape, m: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The weight multiset of the (m, n) fillings of ``shape``, as (weight, count)
     pairs, built once per shape: a decomposition sweep meets each shape again
-    and again, as a factor and as a summand."""
-    return tuple(Counter(glmn_weight(t, m, n) for t in enumerate_glmn(shape, m, n)).items())
+    and again, as a factor and as a summand. A filling's letter m + k is the
+    barred letter k, which the weight counts in place m + k, so the raw
+    vectors of ``_iter_fillings`` are counted as they are."""
+    return tuple(Counter(_letter_counts(e, m + n) for e in _iter_fillings(shape, m, m + n)).items())
 
 
 def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
@@ -170,10 +184,7 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     so one cached ``lr_families`` call per ``z`` that contains ``y`` serves
     every ``w``.
     """
-    y, w = as_partition(y), as_partition(w)
-    for name, p in (("y", y), ("w", w)):
-        if not is_hook(p, m, n):
-            raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
+    y, w = _require_hooks(m, n, y=y, w=w)
     ww = _glmn_weights(SkewShape(w), m, n)
     lhs: Counter = Counter()
     for u, a in _glmn_weights(SkewShape(y), m, n):

@@ -59,6 +59,16 @@ def is_hook(y, m: int, n: int) -> bool:
     return len(y) <= m or y[m] <= n
 
 
+def _require_hooks(m: int, n: int, **parts) -> list[Partition]:
+    """Each of ``parts`` canonicalized, all of them before any is tested;
+    ValueError naming the first that is not an (m, n)-hook diagram."""
+    parts = {name: as_partition(p) for name, p in parts.items()}
+    for name, p in parts.items():
+        if not is_hook(p, m, n):
+            raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
+    return list(parts.values())
+
+
 class SkewShape:
     """The cell set of ``outer`` with the cells of ``inner`` removed.
 
@@ -188,11 +198,12 @@ def first_invalid_step(y, word) -> int | None:
 
 @lru_cache(maxsize=1 << 10)
 def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of ``n``, in decreasing lexicographic order."""
+    """All partitions of ``n``, in decreasing lexicographic order; ValueError
+    for a negative bound on the rows or the columns."""
+    rows = n if max_rows is None else _nonnegative("max_rows", max_rows)
+    cols = n if max_cols is None else _nonnegative("max_cols", max_cols)
     if n < 0:
         return ()
-    rows = n if max_rows is None else max_rows
-    cols = n if max_cols is None else max_cols
 
     def rec(remaining, cap, left):
         if remaining == 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .diagram import SkewShape, _add_boxes, _nonnegative, _skew, as_partition, is_hook, partition_contains
+from .diagram import SkewShape, _add_boxes, _nonnegative, _require_hooks, _skew, as_partition, partition_contains
 from .picture import Picture, is_admissible_picture, omega
 from .reading import AdmissibleOrder, far_eastern, is_admissible, middle_eastern
 from .tableau import Tableau, _p_indices, content, is_semistandard
@@ -66,9 +66,15 @@ def glr_lr_tableaux(
         k = _nonnegative("max_entry", max_entry)
         if sum(z[k:]) > sum(y[k:]):  # a box of z/y below row k needs an entry past k
             return ()
-    if sum(y) + shape.size != sum(z):
+    return _family(shape, y, z, order)
+
+
+def _family(shape: SkewShape, start, end, order: AdmissibleOrder) -> tuple[Tableau, ...]:
+    """Group ``end`` of the search on (``shape``, ``start``) capped at ``end``;
+    empty, and nothing searched, unless |start| + |shape| is |end|."""
+    if sum(start) + shape.size != sum(end):
         return ()
-    return lr_families(shape, y, order, z).get(z, ())
+    return lr_families(shape, start, order, end).get(end, ())
 
 
 def _ends(w) -> tuple[tuple, tuple]:
@@ -102,10 +108,7 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
     if not partition_contains(z, y):
         return ()
     shape = _skew(z, y)
-    order = _checked_order(shape, order)
-    if sum(start) + shape.size != sum(end):
-        return ()
-    return lr_families(shape, start, order, end).get(end, ())
+    return _family(shape, start, end, _checked_order(shape, order))
 
 
 def _lr_fillings(shape, start, ceiling, order):
@@ -125,14 +128,14 @@ def _lr_fillings(shape, start, ceiling, order):
         return MappingProxyType({})
     top = len(ceiling)
     n = len(order)
-    up, right, at = order._up, order._right, order._at
+    up, right, write = order._up, order._right, order._writer
     rows = list(start) + [0] * (top - len(start))
     e = [0] * n
     found = []
     k, v = 0, 1
     while True:
         if k == n:
-            found.append((tuple([e[p] for p in at]), tuple(rows)))
+            found.append((write(e), tuple(rows)))
         else:
             hi = e[right[k]] if right[k] >= 0 else top
             while v <= hi and (rows[v - 1] == ceiling[v - 1] or (v > 1 and rows[v - 2] == rows[v - 1])):
@@ -288,10 +291,7 @@ def lr_coefficient(y, w, z, m: int, n: int, verify: bool = False) -> LRCoefficie
     The counts agree (that equality is the point of the whole package); with
     ``verify`` they are asserted equal. A size mismatch gives (0, 0).
     """
-    y, w, z = as_partition(y), as_partition(w), as_partition(z)
-    for name, p in (("y", y), ("w", w), ("z", z)):
-        if not is_hook(p, m, n):
-            raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
+    y, w, z = _require_hooks(m, n, y=y, w=w, z=z)
     if sum(y) + sum(w) != sum(z):
         return LRCoefficient(0, 0)
     c = len(glr_lr_tableaux(SkewShape(w), y, z))

@@ -8,8 +8,6 @@ order-standard into the second order.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .diagram import SkewShape, _integers
 from .reading import AdmissibleOrder, is_admissible
 
@@ -133,13 +131,12 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
     As it places c at i, the loop stores the codomain cell in the list of
     images by domain position, ``img[i] = a.cells[c]``, or, turned,
     ``img[c] = a.cells[i]``; a path from the root sets every slot, so at a
-    leaf the list is whole and one ``itemgetter`` reads it in row-major order.
+    leaf the list is whole and ``a_prime._writer`` puts it in row-major order.
     """
     n = len(a)
     if n == 0:
         return [()]
-    cod = a.cells
-    get = itemgetter(*a_prime._at) if n > 1 else tuple  # a lone position gives no tuple
+    cod, write = a.cells, a_prime._writer
     positions, ranks = (a, a_prime) if turned else (a_prime, a)
     up, right = positions._up, positions._right
     succs, roots = ranks._succs, ranks._roots
@@ -166,7 +163,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
         else:
             img[i] = cod[c]
         if i == last:
-            out.append(get(img))
+            out.append(write(img))
             continue
         perm[i] = c
         now = placed[i] | bit

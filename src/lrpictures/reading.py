@@ -28,15 +28,16 @@ class AdmissibleOrder:
     cells that are not integer pairs, a repeat or an inadmissible sequence;
     it ends in ``_build``, which only lays out a sequence the library made
     admissible itself. Per position, ``_up`` and ``_right`` hold the
-    positions of the upper and right neighbours (-1 if absent); ``_at`` holds
-    each row-major cell's position, and ``_reader``, its inverse, takes a
-    row-major entry vector to the reading word. For the picture search,
-    ``_succs`` pairs each cell's right and lower neighbours with the position
-    of that neighbour's other left or upper neighbour (-1 if none), ``_roots``
-    is the bitset of the cells with neither, and ``_pairs`` counts the upper
-    plus the right neighbours."""
+    positions of the upper and right neighbours (-1 if absent). Two readers
+    go both ways between row-major order and the order: ``_reader`` takes a
+    row-major entry vector to the reading word, and ``_writer``, its inverse,
+    takes a vector indexed by position to the row-major tuple. For the
+    picture search, ``_succs`` pairs each cell's right and lower neighbours
+    with the position of that neighbour's other left or upper neighbour (-1
+    if none), ``_roots`` is the bitset of the cells with neither, and
+    ``_pairs`` counts the upper plus the right neighbours."""
 
-    __slots__ = ("cells", "_row_major", "_up", "_right", "_at", "_reader", "_succs", "_roots", "_pairs", "_hash")
+    __slots__ = ("cells", "_row_major", "_up", "_right", "_reader", "_writer", "_succs", "_roots", "_pairs", "_hash")
 
     def __new__(cls, cells):
         cells = tuple(_integers((i, j)) for i, j in cells)
@@ -59,12 +60,13 @@ class AdmissibleOrder:
         self._row_major = tuple(sorted(cells))
         self._up = up = tuple([rank.get((i - 1, j), -1) for i, j in cells])
         self._right = right = tuple([rank.get((i, j + 1), -1) for i, j in cells])
-        self._at = at = tuple([rank[c] for c in self._row_major])
+        at = [rank[c] for c in self._row_major]  # per row-major cell, its position
         picks = [0] * len(at)  # per position, the row-major index of its cell
         for r, k in enumerate(at):
             picks[k] = r
-        # itemgetter returns a bare item for one index; up to one cell, reading keeps the order
+        # itemgetter returns a bare item for one index; up to one cell, both directions keep the order
         self._reader = itemgetter(*picks) if len(picks) > 1 else tuple
+        self._writer = itemgetter(*at) if len(at) > 1 else tuple
         succs = [[] for _ in cells]
         roots = 0
         for d, ((i, j), u) in enumerate(zip(cells, up)):

@@ -45,9 +45,7 @@ def render_tableau(t: Tableau, style: str = "ascii") -> str:
 
 def render_picture(p: Picture, style: str = "ascii") -> str:
     arrow = " → " if style == "unicode" else " -> "
-    lines = ["domain:", _grid(p.domain, lambda i, j: "", style == "unicode")]
-    lines += ["codomain:", _grid(p.codomain, lambda i, j: "", style == "unicode")]
-    lines.append("map:")
+    lines = ["domain:", render_shape(p.domain, style), "codomain:", render_shape(p.codomain, style), "map:"]
     for u, v in zip(p.domain.cells(), p.images):  # row-major: sorted
         lines.append(f"  ({u[0]},{u[1]}){arrow}({v[0]},{v[1]})")
     return "\n".join(lines)

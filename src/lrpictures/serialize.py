@@ -25,10 +25,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def partition_to_obj(p: Partition) -> list[int]:
-    return list(p)
-
-
 def partition_from_obj(obj) -> Partition:
     if not isinstance(obj, list) or not all(_is_int(v) for v in obj):
         raise ValueError(f"a partition must be an array of ints, got {obj!r}")
@@ -120,10 +116,6 @@ def picture_from_obj(obj) -> Picture:
             raise ValueError(f"'map' lists the domain cell {list(u)} twice")
         forward[u] = cell_from_obj(pair[1])
     return Picture(shape_from_obj(obj["domain"]), shape_from_obj(obj["codomain"]), forward)
-
-
-def order_to_obj(order: AdmissibleOrder) -> list:
-    return [list(c) for c in order.cells]
 
 
 def order_from_obj(obj) -> AdmissibleOrder:

@@ -41,22 +41,25 @@ def parse_order_spec(spec: str) -> tuple:
 
 def resolve_order(spec: str, shape: SkewShape, seed_base: int = 0) -> AdmissibleOrder:
     """Turn a textual order spec (ME | FE | seed:<n>) into an order on ``shape``."""
-    if spec == "ME":
+    key = parse_order_spec(spec)
+    if key == ("ME",):
         return middle_eastern(shape)
-    if spec == "FE":
+    if key == ("FE",):
         return far_eastern(shape)
-    return random_admissible_order(shape, seed_base + parse_order_spec(spec)[1])
+    return random_admissible_order(shape, seed_base + key[1])
+
+
+def _yz_walk(max_z: int):
+    """Every (y, z, |z| - |y|) with y inside z and |z| <= max_z, smaller z first."""
+    for total in range(max_z + 1):
+        for z in partitions_of(total):
+            for y in subdiagrams(z):
+                yield y, z, total - sum(y)
 
 
 def straight_triples(max_z: int) -> list[tuple]:
     """All (y, w, z) with y inside z, w a partition of the leftover size, |z| <= max_z."""
-    out = []
-    for total in range(max_z + 1):
-        for z in partitions_of(total):
-            for y in subdiagrams(z):
-                for w in partitions_of(total - sum(y)):
-                    out.append((y, w, z))
-    return out
+    return [(y, w, z) for y, z, leftover in _yz_walk(max_z) for w in partitions_of(leftover)]
 
 
 def skew_w_triples(box_rows: int, box_cols: int, max_w: int, max_z: int) -> list[tuple]:
@@ -67,15 +70,7 @@ def skew_w_triples(box_rows: int, box_cols: int, max_w: int, max_z: int) -> list
             s = SkewShape(outer, inner)
             if 0 < s.size <= max_w:
                 shapes.append(s)
-    out = []
-    for total in range(max_z + 1):
-        for z in partitions_of(total):
-            for y in subdiagrams(z):
-                leftover = total - sum(y)
-                for s in shapes:
-                    if s.size == leftover:
-                        out.append((y, s, z))
-    return out
+    return [(y, s, z) for y, z, leftover in _yz_walk(max_z) for s in shapes if s.size == leftover]
 
 
 def _roundtrip_pair(members, pictures, base, images: dict) -> bool:

@@ -153,16 +153,19 @@ def is_glmn_semistandard(t: Tableau, m: int, n: int) -> bool:
     return _respects_bounds(t, m)
 
 
+def _letter_counts(letters, top: int) -> tuple[int, ...]:
+    """How often each letter 1..top occurs in ``letters``, positive ints up to ``top``."""
+    counts = [0] * (top + 1)
+    for v in letters:
+        counts[v] += 1
+    return tuple(counts[1:])
+
+
 def content(t: Tableau) -> tuple[int, ...]:
     """Counts of the letters 1..max, as a tuple. Entries must be plain letters."""
-    counts: dict[int, int] = {}
-    top = 0
-    for e in t.entries:
-        if e < 0:
-            raise ValueError("content expects plain (unbarred) entries")
-        counts[e] = counts.get(e, 0) + 1
-        top = max(top, e)
-    return tuple(counts.get(k, 0) for k in range(1, top + 1))
+    if any(e < 0 for e in t.entries):
+        raise ValueError("content expects plain (unbarred) entries")
+    return _letter_counts(t.entries, max(t.entries, default=0))
 
 
 def glmn_weight(t: Tableau, m: int, n: int) -> tuple[int, ...]:

@@ -331,6 +331,8 @@ ROW2_IDENTITY = {"domain": ROW2, "codomain": ROW2, "map": [[[1, 1], [1, 1]], [[1
          "companion_tableau input is not a two-family LR member"),
         ("map phihat --input FILE", {"shape": {"outer": [2], "inner": []}, "rows": [[1, 2]]},
          "companion_tableau input is not a two-family LR member"),
+        # no shape has at most -1 rows; the bound is refused before any check runs
+        ("verify decomposition-glr --max-size 2 --r -1", None, "max_rows must be nonnegative"),
     ],
 )
 def test_inputs_the_library_refuses_are_exit_2(capsys, tmp_path, argv, given, named):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +16,23 @@ from lrpictures.crystal import (
     weight,
 )
 from lrpictures import crystal
-from lrpictures.diagram import SkewShape, add_boxes, is_hook, partition_contains, partitions_of
-from lrpictures.lr import glmn_lr_tableaux, glr_lr_tableaux
+from lrpictures.diagram import (
+    SkewShape,
+    add_boxes,
+    is_hook,
+    partition_contains,
+    partitions_of,
+    partitions_up_to,
+    subdiagrams,
+)
+from lrpictures.lr import glmn_lr_tableaux, glr_lr_tableaux, lr_coefficient
 from lrpictures.reading import (
     far_eastern,
     is_lattice_permutation,
     middle_eastern,
     reading,
 )
-from lrpictures.tableau import enumerate_ssyt
+from lrpictures.tableau import enumerate_glmn, enumerate_ssyt, glmn_weight
 
 
 def test_operator_spot_values():
@@ -47,6 +57,10 @@ def test_operator_validation():
         lower((1,), 0)
     with pytest.raises(ValueError):
         raise_((1,), 0)
+    # the index is an integer: a float or a string is refused, not flipped in as a letter
+    for op, word, i in ((raise_, (2,), 1.0), (lower, (1,), 1.0), (lower, (1,), "1")):
+        with pytest.raises(ValueError, match="expected integers"):
+            op(word, i)
 
 
 @given(sts.words(max_letter=4, max_len=8), st.integers(1, 3))
@@ -184,6 +198,30 @@ def test_decomposition_report_fields_equality_and_object_form():
 def test_glmn_decomposition_rejects_non_hooks():
     with pytest.raises(ValueError):
         verify_decomposition_glmn((2, 2), (1,), 1, 1)
+
+
+def test_both_hook_checks_name_the_first_non_hook_part():
+    # each part is made canonical first, so the message names (2, 2), not (2, 2, 0)
+    with pytest.raises(ValueError, match=r"^w=\(2, 2\) is not a \(1,1\)-hook diagram$"):
+        verify_decomposition_glmn((1,), (2, 2, 0), 1, 1)
+    with pytest.raises(ValueError, match=r"^w=\(2, 2\) is not a \(1,1\)-hook diagram$"):
+        lr_coefficient((1,), (2, 2, 0), (3, 3), 1, 1)
+    with pytest.raises(ValueError, match=r"^y=\(2, 2\) is not a \(1,1\)-hook diagram$"):
+        lr_coefficient((2, 2), (3, 3), (1,), 1, 1)
+    # every part is canonicalized before any is tested: a bad z is named before the non-hook w
+    with pytest.raises(ValueError, match="negative row length"):
+        lr_coefficient((1,), (2, 2), (1, -1), 1, 1)
+
+
+def test_glmn_weight_tables_match_the_public_route():
+    # the table counts the raw filling vectors; the reference maps each filling to its
+    # barred entries and back through glmn_weight
+    shapes = [SkewShape(o, i) for o in partitions_up_to(6) for i in subdiagrams(o)]
+    assert len(shapes) == 230
+    for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)):
+        for s in shapes:
+            expected = Counter(glmn_weight(t, m, n) for t in enumerate_glmn(s, m, n))
+            assert crystal._glmn_weights(s, m, n) == tuple(expected.items()), (s, m, n)
 
 
 @settings(max_examples=15)

@@ -174,6 +174,25 @@ def test_partition_counts():
     assert partitions_of(-1) == ()
     assert partitions_of(4, max_rows=2) == ((4,), (3, 1), (2, 2))
     assert partitions_of(4, max_cols=2) == ((2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert partitions_of(3, 0) == partitions_of(3, None, 0) == ()
+    assert partitions_of(0, 0, 0) == ((),)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: partitions_of(3, -1), "max_rows"),
+        (lambda: partitions_of(3, None, -1), "max_cols"),
+        (lambda: partitions_of(-1, -1), "max_rows"),
+        (lambda: partitions_up_to(2, -2), "max_rows"),
+        (lambda: partitions_up_to(2, None, -1), "max_cols"),
+        (lambda: partitions_of(3, 1.5), "expected integers"),
+    ],
+)
+def test_partitions_refuse_a_negative_bound(call, named):
+    # a negative bound on the rows or the columns is an error, not a missing bound
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 @given(sts.partitions(max_size=7))

@@ -157,8 +157,8 @@ def test_reading_rejects_mismatched_order():
 
 
 def _layout(order):
-    """Every field ``AdmissibleOrder._build`` lays out but the reader, written
-    out from the cells of ``order`` by neighbour lookups."""
+    """Every field ``AdmissibleOrder._build`` lays out but the two readers,
+    written out from the cells of ``order`` by neighbour lookups."""
     cells = list(order.cells)
 
     def position(cell):
@@ -166,7 +166,6 @@ def _layout(order):
 
     up = tuple(position((i - 1, j)) for i, j in cells)
     right = tuple(position((i, j + 1)) for i, j in cells)
-    at = tuple(cells.index(c) for c in sorted(cells))
     succs = []  # per cell, its right and lower neighbours with their other left or upper one
     for i, j in cells:
         nexts = {position((i, j + 1)): position((i - 1, j + 1)), position((i + 1, j)): position((i + 1, j - 1))}
@@ -175,7 +174,7 @@ def _layout(order):
     roots = sum(1 << k for k, (i, j) in enumerate(cells) if up[k] < 0 and (i, j - 1) not in cells)
     pairs = sum(k >= 0 for k in up + right)
     return {
-        "cells": order.cells, "_row_major": tuple(sorted(cells)), "_up": up, "_right": right, "_at": at,
+        "cells": order.cells, "_row_major": tuple(sorted(cells)), "_up": up, "_right": right,
         "_succs": tuple(succs), "_roots": roots, "_pairs": pairs, "_hash": hash(order.cells),
     }
 
@@ -188,7 +187,7 @@ def test_orders_lay_out_their_neighbour_and_row_major_positions():
     shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
     # the disconnected shape, and the 0-cell and 1-cell orders, by name
     shapes += [SkewShape((2, 1), (1,)), SkewShape(()), SkewShape((1,))]
-    fields = [name for name in AdmissibleOrder.__slots__ if name != "_reader"]
+    fields = [name for name in AdmissibleOrder.__slots__ if name not in ("_reader", "_writer")]
     assert sorted(fields) == sorted(_layout(middle_eastern(shapes[-1])))
     for shape in shapes:
         orders = [middle_eastern(shape), far_eastern(shape)]
@@ -199,10 +198,13 @@ def test_orders_lay_out_their_neighbour_and_row_major_positions():
         for order in orders:
             expected = _layout(order)
             pickled = pickle.loads(pickle.dumps(order))
-            loaded = serialize.order_from_obj(serialize.order_to_obj(order))
+            loaded = serialize.order_from_obj([list(c) for c in order.cells])
             for copy in (order, AdmissibleOrder(order.cells), pickled, loaded):
                 assert {name: getattr(copy, name) for name in fields} == expected, (shape, order)
-                assert reading(t, copy) == tuple(dict(t.items())[c] for c in order.cells)
+                word = reading(t, copy)
+                assert word == tuple(dict(t.items())[c] for c in order.cells)
+                # the writer takes the reading word, a vector by position, back to row-major order
+                assert copy._writer(word) == copy._writer(list(word)) == t.entries
 
 
 def test_is_lattice_permutation():

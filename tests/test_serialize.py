@@ -22,7 +22,7 @@ def test_picture_map_lists_each_domain_cell_once():
 
 
 def test_partition_roundtrip():
-    assert serialize.partition_from_obj(serialize.partition_to_obj((3, 1))) == (3, 1)
+    assert serialize.partition_from_obj([3, 1]) == (3, 1)
     assert serialize.partition_from_obj([]) == ()
     with pytest.raises(ValueError):
         serialize.partition_from_obj("3,1")
@@ -70,7 +70,7 @@ def test_picture_roundtrip():
 
 def test_order_roundtrip():
     order = middle_eastern(SkewShape((2, 1)))
-    assert serialize.order_from_obj(serialize.order_to_obj(order)) == order
+    assert serialize.order_from_obj([list(c) for c in order.cells]) == order
     with pytest.raises(ValueError):
         serialize.order_from_obj({"cells": []})
     with pytest.raises(ValueError):
