@@ -52,19 +52,24 @@ def partition_contains(outer: Partition, inner: Partition) -> bool:
     return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
+def _hook(y: Partition, m: int, n: int) -> bool:
+    """is_hook on a canonical partition and checked bounds."""
+    return len(y) <= m or y[m] <= n
+
+
 def is_hook(y, m: int, n: int) -> bool:
     """True when ``y`` has no box at position (m+1, n+1), i.e. row m+1 is at most n."""
     y = as_partition(y)
-    m, n = _nonnegative("m", m), _nonnegative("n", n)
-    return len(y) <= m or y[m] <= n
+    return _hook(y, _nonnegative("m", m), _nonnegative("n", n))
 
 
 def _require_hooks(m: int, n: int, **parts) -> list[Partition]:
     """Each of ``parts`` canonicalized, all of them before any is tested;
     ValueError naming the first that is not an (m, n)-hook diagram."""
     parts = {name: as_partition(p) for name, p in parts.items()}
+    bounds = _nonnegative("m", m), _nonnegative("n", n)
     for name, p in parts.items():
-        if not is_hook(p, m, n):
+        if not _hook(p, *bounds):
             raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
     return list(parts.values())
 
@@ -73,11 +78,11 @@ class SkewShape:
     """The cell set of ``outer`` with the cells of ``inner`` removed.
 
     ``SkewShape(outer, inner)`` checks: it canonicalizes both partitions with
-    ``as_partition`` and refuses an ``inner`` that does not fit in ``outer``.
-    It then returns ``_skew(outer, inner)``, so equal shapes are one object
-    while the bounded table of ``_skew`` holds it. ``SkewShape._build`` only
-    builds, for pairs the library has made canonical and nested itself, so
-    every shape stores the same fields: ``outer``, ``inner``, ``size``, its
+    ``as_partition``, then ``_nested`` refuses an ``inner`` that does not fit
+    in ``outer`` and returns ``_skew(outer, inner)``, so equal shapes are one
+    object while the bounded table of ``_skew`` holds it. ``SkewShape._build``
+    only builds, for pairs the library has made canonical and nested itself,
+    so every shape stores the same fields: ``outer``, ``inner``, ``size``, its
     cell tuple, each row's ``(start, stop)`` span in that tuple, per cell the
     positions there of its left and upper neighbours (``_left``, ``_up``; -1
     if absent), and its hash. Shapes are values: nothing changes them after
@@ -87,10 +92,7 @@ class SkewShape:
     __slots__ = ("outer", "inner", "size", "_row_major", "_spans", "_left", "_up", "_hash")
 
     def __new__(cls, outer, inner=()):
-        outer, inner = as_partition(outer), as_partition(inner)
-        if not partition_contains(outer, inner):
-            raise ValueError(f"inner shape {inner} not contained in outer {outer}")
-        return _skew(outer, inner)
+        return _nested(as_partition(outer), as_partition(inner))
 
     @classmethod
     def _build(cls, outer: Partition, inner: Partition = ()) -> SkewShape:
@@ -156,6 +158,14 @@ def _skew(outer: Partition, inner: Partition) -> SkewShape:
     per pair. The constructor ends here, and so may callers whose pair is
     canonical and nested already, as the LR layer's Z/Y is."""
     return SkewShape._build(outer, inner)
+
+
+def _nested(outer: Partition, inner: Partition) -> SkewShape:
+    """``_skew(outer, inner)`` for canonical partitions, after the one
+    containment test; ValueError when ``inner`` does not fit in ``outer``."""
+    if not partition_contains(outer, inner):
+        raise ValueError(f"inner shape {inner} not contained in outer {outer}")
+    return _skew(outer, inner)
 
 
 def _grow(rows: list, word) -> int:

@@ -4,11 +4,13 @@ A total order on a cell set is admissible when every cell weakly northeast of
 another (row at most, column at least) comes first. The two classical examples
 scan rows top to bottom reading each right to left, and columns right to left
 reading each top to bottom. An ``AdmissibleOrder`` built from outside input is
-checked once, when it is built; the constructors below (memoized) make
-admissible sequences and skip the checks. ``is_admissible`` only asks whether
-an order lists the cells of a given shape. When it is built, an order lays out
-all that the searches and the reading word walk; no other module derives it
-from the cells.
+checked once, when it is built; the constructors below make admissible
+sequences and skip the checks. Every route ends in one bounded table keyed by
+the cell sequence, so equal orders are one object while the table holds it,
+and the caches keyed by orders match them by identity. ``is_admissible`` only
+asks whether an order lists the cells of a given shape. When it is built, an
+order lays out all that the searches and the reading word walk; no other
+module derives it from the cells.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ class AdmissibleOrder:
 
     ``AdmissibleOrder(cells)`` checks outside input, raising ValueError on
     cells that are not integer pairs, a repeat or an inadmissible sequence;
-    it ends in ``_build``, which only lays out a sequence the library made
-    admissible itself. Per position, ``_up`` and ``_right`` hold the
-    positions of the upper and right neighbours (-1 if absent). Two readers
+    it ends in ``_build``, which takes a sequence the library made admissible
+    itself and returns the entry for it in the bounded table of ``_orders``,
+    laying the order out (``_lay_out``) only on a miss. So equal orders are
+    one object while that table holds them; one built after its entry was
+    dropped is another object, equal and with the same hash. Per position,
+    ``_up`` and ``_right`` hold the positions of the upper and right
+    neighbours (-1 if absent). Two readers
     go both ways between row-major order and the order: ``_reader`` takes a
     row-major entry vector to the reading word, and ``_writer``, its inverse,
     takes a vector indexed by position to the row-major tuple. For the
@@ -52,8 +58,12 @@ class AdmissibleOrder:
             rightmost[i] = j  # the later cells of row i all lie left of column j
         return cls._build(cells)
 
+    @staticmethod
+    def _build(cells: tuple) -> AdmissibleOrder:
+        return _orders(cells)
+
     @classmethod
-    def _build(cls, cells: tuple) -> AdmissibleOrder:
+    def _lay_out(cls, cells: tuple) -> AdmissibleOrder:
         self = object.__new__(cls)
         self.cells = cells
         rank = {c: k for k, c in enumerate(cells)}
@@ -102,6 +112,13 @@ class AdmissibleOrder:
 
 
 @lru_cache(maxsize=1 << 12)
+def _orders(cells: tuple) -> AdmissibleOrder:
+    """The one table of orders: ``AdmissibleOrder._lay_out(cells)``, laid out
+    once per cell sequence. Every constructor ends here."""
+    return AdmissibleOrder._lay_out(cells)
+
+
+@lru_cache(maxsize=1 << 12)
 def middle_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Rows top to bottom, each row right to left."""
     return AdmissibleOrder._build(tuple(sorted(shape.cells(), key=lambda c: (c[0], -c[1]))))
@@ -119,12 +136,13 @@ def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
     return order._row_major == shape.cells()
 
 
-@lru_cache(maxsize=1 << 12)
 def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
     """A random admissible order, drawn by repeatedly picking uniformly among
     the cells that no remaining cell is forced to precede. Deterministic in
     ``seed``. The remaining cells of a row form a left segment; its last cell
-    qualifies when it lies right of every remaining cell in the rows above."""
+    qualifies when it lies right of every remaining cell in the rows above.
+    Each call draws again (a sweep reads its draws through its own table);
+    the draw then finds its order in the table of orders."""
     rng = random.Random(seed)
     lefts = [shape.inner_width(i) for i in range(1, len(shape.outer) + 1)]
     ends = list(shape.outer)  # per row, the rightmost remaining column

@@ -5,19 +5,22 @@ record covers one triple (y, W, z), W straight or skew, in both directions:
 both LR counts, both picture counts and both round-trips of the maps under
 every requested order spec, order-independence of the enumerated sets, and a
 membership check: every two-family LR tableau, in each order, has a reading
-that grows W.inner into W.outer. A family is read once per distinct order
-and the pictures W -> Z/Y are searched once per distinct order pair, however
-many specs name them; the pictures Z/Y -> W are their inverses. The families
-come from ``lr.lr_families`` with no ceiling: one search per (shape, start,
-order), cached, grows the start into every partition it can reach, so it
-serves every triple a sweep meets on it.
+that grows W.inner into W.outer. The orders are resolved once per (shape,
+specs, seed) into the distinct orders and each spec's index among them,
+shared by every triple on that shape. A family is read once per distinct
+order and the pictures W -> Z/Y are searched once per distinct order pair,
+however many specs name them; the pictures Z/Y -> W are their inverses. The
+families come from ``lr.lr_families`` with no ceiling: one search per (shape,
+start, order), cached, grows the start into every partition it can reach, so
+it serves every triple a sweep meets on it.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
-from .diagram import SkewShape, as_partition, partitions_of, partitions_up_to, subdiagrams
+from .diagram import SkewShape, _nested, _skew, as_partition, partitions_of, partitions_up_to, subdiagrams
 from .lr import is_glmn_lr_tableau, lr_families, picture_to_tableau, tableau_to_picture
 from .picture import enumerate_pictures, omega
 from .reading import AdmissibleOrder, far_eastern, middle_eastern, random_admissible_order
@@ -47,6 +50,21 @@ def resolve_order(spec: str, shape: SkewShape, seed_base: int = 0) -> Admissible
     if key == ("FE",):
         return far_eastern(shape)
     return random_admissible_order(shape, seed_base + key[1])
+
+
+@lru_cache(maxsize=1 << 12)
+def _resolved(shape: SkewShape, specs: tuple, seed: int) -> tuple[tuple[AdmissibleOrder, ...], tuple[int, ...]]:
+    """The distinct orders ``specs`` name on ``shape``, in order of first use,
+    and each spec's index into them: the orders of every triple on the shape."""
+    orders = [resolve_order(s, shape, seed) for s in specs]
+    distinct = dict.fromkeys(orders)
+    at = {o: k for k, o in enumerate(distinct)}
+    return tuple(distinct), tuple([at[o] for o in orders])
+
+
+def _shape_of(w) -> SkewShape:
+    """``w`` itself when it is a skew shape, else the straight shape of the partition ``w``."""
+    return w if isinstance(w, SkewShape) else _skew(as_partition(w), ())
 
 
 def _yz_walk(max_z: int):
@@ -125,7 +143,10 @@ def check_triple(
     Built for sweeps. Every W, straight or skew, is checked both ways: the
     classical family on W against the pictures W -> Z/Y over base y, and the
     two-family side on Z/Y against the pictures Z/Y -> W over base W.inner.
-    Each family is read once per distinct order on its shape, as group z of
+    The orders are resolved once per (shape, specs, seed), by ``_resolved``:
+    the distinct orders on W and on Z/Y, and each spec's index into them,
+    which key the families, the pictures and the round-trips below. Each
+    family is read once per distinct order on its shape, as group z of
     ``lr_families(W, y, order)`` and group W.outer of ``lr_families(Z/Y,
     W.inner, order)``. Those searches are cached, so the other triples
     of a sweep on the same shape and order, zero ones included, only look up
@@ -143,43 +164,44 @@ def check_triple(
     are empty ``specs``."""
     _refuse_bad_request(specs, roundtrips, pictures)
     y, z = as_partition(y), as_partition(z)
-    w_shape = w if isinstance(w, SkewShape) else SkewShape(w)
-    zy = SkewShape(z, y)
-    orders_w = [resolve_order(s, w_shape, seed) for s in specs]
-    orders_zy = [resolve_order(s, zy, seed) for s in specs]
+    zy = _nested(z, y)
+    w_shape = _shape_of(w)
+    specs = tuple(specs)
+    orders_w, at_w = _resolved(w_shape, specs, seed)
+    orders_zy, at_zy = _resolved(zy, specs, seed)
 
     # one family per distinct order on its shape, read from the search shared
     # by every triple on that (shape, start, order)
-    b_sets = {o: lr_families(w_shape, y, o).get(z, ()) for o in dict.fromkeys(orders_w)}
-    lr_sets = {o: lr_families(zy, w_shape.inner, o).get(w_shape.outer, ()) for o in dict.fromkeys(orders_zy)}
+    b_sets = [lr_families(w_shape, y, o).get(z, ()) for o in orders_w]
+    lr_sets = [lr_families(zy, w_shape.inner, o).get(w_shape.outer, ()) for o in orders_zy]
 
-    order_independent = _same_sets(b_sets.values()) and _same_sets(lr_sets.values())
+    order_independent = _same_sets(b_sets) and _same_sets(lr_sets)
 
     identity_ok = not identity or all(
-        is_glmn_lr_tableau(q, y, w_shape, z, o) for o, lr_set in lr_sets.items() for q in lr_set
+        is_glmn_lr_tableau(q, y, w_shape, z, o) for o, lr_set in zip(orders_zy, lr_sets) for q in lr_set
     )
 
-    pairs = list(zip(orders_w, orders_zy))
+    pairs = list(zip(at_w, at_zy))
     per_pair = {}
     b_images, lr_images = {}, {}
-    for o_w, o_zy in dict.fromkeys(pairs):
+    for i, j in dict.fromkeys(pairs):
         entry = {"pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
         if pictures:
-            pics = enumerate_pictures(w_shape, zy, o_zy, o_w)
+            pics = enumerate_pictures(w_shape, zy, orders_zy[j], orders_w[i])
             entry["pictures"] = entry["pictures_swapped"] = len(pics)  # the inverses are as many
             if roundtrips:
                 swapped = [omega(p) for p in pics]
-                ok = _roundtrip_pair(b_sets[o_w], pics, y, b_images)
-                entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[o_zy], swapped, w_shape.inner, lr_images)
-        per_pair[o_w, o_zy] = entry
+                ok = _roundtrip_pair(b_sets[i], pics, y, b_images)
+                entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[j], swapped, w_shape.inner, lr_images)
+        per_pair[i, j] = entry
     per_order = [{"order": s, **per_pair[pair]} for s, pair in zip(specs, pairs)]
 
     return {
         "y": y,
         "w": (w_shape.outer, w_shape.inner),
         "z": z,
-        "c": len(b_sets[orders_w[0]]),
-        "n_super": len(lr_sets[orders_zy[0]]),
+        "c": len(b_sets[0]),
+        "n_super": len(lr_sets[0]),
         "order_independent": order_independent,
         "identity_ok": identity_ok,
         "orders": per_order,
@@ -210,7 +232,7 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
-    tasks = [(y, w if isinstance(w, SkewShape) else SkewShape(w), z, *rest) for y, w, z in triples]
+    tasks = [(y, _shape_of(w), z, *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))
     workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
     if workers <= 1:

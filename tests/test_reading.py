@@ -12,6 +12,7 @@ from lrpictures import serialize
 from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.reading import (
     AdmissibleOrder,
+    _orders,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
@@ -35,15 +36,47 @@ def test_order_and_word_checks_reject_non_integral_values():
 
 
 def test_stored_hash_holds_across_pickling_and_a_second_route():
-    # the hash is stored at construction; an equal order that crossed a
-    # process boundary, or was built from its cell list, must hash the same
+    # the hash is stored at construction; once the table of orders has
+    # dropped an order, an equal one that crossed a process boundary, or was
+    # built from its cell list, is another object and must hash the same
     shape = SkewShape((4, 3, 1), (1,))
     me = middle_eastern(shape)
-    for other in (pickle.loads(pickle.dumps(me)), AdmissibleOrder(list(me.cells))):
+    for route in (lambda: pickle.loads(pickle.dumps(me)), lambda: AdmissibleOrder(list(me.cells))):
+        _orders.cache_clear()
+        other = route()
         assert other is not me
         assert other == me and hash(other) == hash(me)
         assert is_admissible(other, shape)
     assert far_eastern(shape) != me
+
+
+def test_equal_orders_are_one_object():
+    # every route to a cell sequence ends in the one table of orders: the
+    # checking constructor, pickling and the three constructors of the
+    # library. Equal sequences give one object; another sequence on the same
+    # cells gives another. That holds while the table holds the order, and a
+    # constructor's own cache may outlive it, so the test starts from empty tables
+    for table in (_orders, middle_eastern, far_eastern):
+        table.cache_clear()
+    box = subdiagrams((3, 3, 3))
+    shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
+    assert len(shapes) == 175
+    shared = 0
+    for shape in shapes:
+        drawn = [
+            (middle_eastern(shape), sorted(shape.cells(), key=lambda c: (c[0], -c[1]))),
+            (far_eastern(shape), sorted(shape.cells(), key=lambda c: (-c[1], c[0]))),
+        ]
+        drawn += [(random_admissible_order(shape, seed), random_order_oracle(shape, seed)) for seed in range(10)]
+        by_cells = {}
+        for o, cells in drawn:
+            assert o.cells == tuple(cells)
+            assert AdmissibleOrder(cells) is o  # an equal sequence, not the same tuple
+            assert pickle.loads(pickle.dumps(o)) is o
+            assert by_cells.setdefault(o.cells, o) is o  # every route to equal cells, one object
+        assert len({id(o) for o, _ in drawn}) == len(by_cells)
+        shared += len(drawn) - len(by_cells)
+    assert shared > 1000
 
 
 def test_order_repr_lists_the_cells():
@@ -128,8 +161,7 @@ def test_canonical_orders_are_admissible(shape):
 def test_random_orders_admissible_and_deterministic(shape, seed):
     order = random_admissible_order(shape, seed)
     assert is_admissible(order, shape)
-    random_admissible_order.cache_clear()  # draw again rather than read the memo
-    assert order == random_admissible_order(shape, seed)
+    assert order == random_admissible_order(shape, seed)  # each call draws again
 
 
 def test_random_orders_match_the_pairwise_draw():
@@ -157,7 +189,7 @@ def test_reading_rejects_mismatched_order():
 
 
 def _layout(order):
-    """Every field ``AdmissibleOrder._build`` lays out but the two readers,
+    """Every field ``AdmissibleOrder._lay_out`` lays out but the two readers,
     written out from the cells of ``order`` by neighbour lookups."""
     cells = list(order.cells)
 
@@ -199,7 +231,9 @@ def test_orders_lay_out_their_neighbour_and_row_major_positions():
             expected = _layout(order)
             pickled = pickle.loads(pickle.dumps(order))
             loaded = serialize.order_from_obj([list(c) for c in order.cells])
-            for copy in (order, AdmissibleOrder(order.cells), pickled, loaded):
+            # equal orders are one object while the table holds them, so a
+            # fresh layout of the same cells stands for the checking constructor's
+            for copy in (order, AdmissibleOrder._lay_out(order.cells), pickled, loaded):
                 assert {name: getattr(copy, name) for name in fields} == expected, (shape, order)
                 word = reading(t, copy)
                 assert word == tuple(dict(t.items())[c] for c in order.cells)

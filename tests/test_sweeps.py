@@ -1,9 +1,10 @@
+import re
 from collections import Counter
 
 import pytest
 
 from lrpictures import sweeps
-from lrpictures.diagram import SkewShape
+from lrpictures.diagram import SkewShape, subdiagrams
 from lrpictures.lr import glmn_lr_tableaux, glr_lr_tableaux, is_glmn_lr_tableau
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.tableau import Tableau
@@ -30,6 +31,30 @@ def test_parse_order_spec():
     for spec in ("bogus", "me", "", "seed:x", "seed:"):
         with pytest.raises(ValueError, match=f"unknown order spec {spec!r}"):
             sweeps.parse_order_spec(spec)
+
+
+def test_resolved_orders_are_the_distinct_resolutions_in_order_of_first_use():
+    # the table check_triple reads: per (shape, specs, seed), dict.fromkeys
+    # over resolve_order, and each spec's index into it. An entry keeps the
+    # objects it resolved, so the test starts from an empty table
+    sweeps._resolved.cache_clear()
+    spec_lists = [
+        ("ME",), ("FE", "ME"), ("ME", "FE", "ME"), ROUNDTRIP, ("seed:5", "seed:6", "seed:7"),
+        ("seed:0", "seed:00", "FE", "seed:0"), ("seed:3", "ME", "seed:3", "FE", "seed:4", "ME"),
+    ]
+    box = subdiagrams((3, 3, 3))
+    shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
+    shared = 0
+    for shape in shapes + [SkewShape((4, 3, 2, 1), (2, 1))]:
+        for specs in spec_lists:
+            for seed in (0, 7):
+                distinct, at = sweeps._resolved(shape, specs, seed)
+                orders = [sweeps.resolve_order(s, shape, seed) for s in specs]
+                assert distinct == tuple(dict.fromkeys(orders))
+                assert list(at) == [distinct.index(o) for o in orders]
+                assert all(distinct[k] is o for k, o in zip(at, orders))
+                shared += len(distinct) < len(set(specs))
+    assert shared  # some distinct specs named equal orders
 
 
 def test_straight_triples_small():
@@ -86,6 +111,19 @@ def test_check_triple_flags():
     assert rec["orders"][0]["pictures"] is None
     assert rec["orders"][0]["roundtrip_ok"] is None
     assert sweeps.record_ok(rec)
+
+
+def test_check_triple_canonicalizes_once_and_refuses_as_skew_shape_does():
+    # y and z are canonicalized once and Z/Y built from them directly: the
+    # same record for padded input from either driver, and SkewShape's own
+    # message for a y outside z
+    assert sweeps.check_triple([1, 0], [1, 0, 0], [2, 0]) == sweeps.check_triple((1,), (1,), (2,))
+    assert sweeps.run_sweep([([1, 0], [1, 0, 0], [2, 0])]) == [sweeps.check_triple((1,), (1,), (2,))]
+    for y, z in (((2,), (1,)), ((1, 1), (2, 0)), ((1,), ())):
+        with pytest.raises(ValueError) as refused:
+            SkewShape(z, y)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            sweeps.check_triple(y, (), z)
 
 
 def test_roundtrips_without_pictures_are_refused():
