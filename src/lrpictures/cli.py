@@ -12,7 +12,8 @@ own, so it leaves at once, and the rest in batches of 512 lines, one write
 each. The decomposition sweeps compute each line as they go, so their lines
 wait for their batch too.
 
-Order specs are ME, FE, seed:<n>, or @file.json holding an array of cells.
+Order specs are ME, FE, seed:<n>, or @file.json holding an array of cells;
+seed:<n> draws under the seed |--seed + n|, so seed:3 and seed:-3 are one order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .lr import (
     tableau_to_picture,
 )
 from .picture import enumerate_pictures, omega
+from .reading import _draw_seed
 from .render import render_picture, render_shape, render_tableau
 from .tableau import content, enumerate_glmn, enumerate_ssyt
 
@@ -219,6 +221,14 @@ def _decomposition_units(shapes, params: dict, check):
             yield [{"y": list(y), "w": list(w), **params, **report.to_obj()}], report.passed
 
 
+def _named_order(spec: str, seed: int) -> tuple:
+    """The order ``spec`` names under seed base ``seed``: its parsed key, with
+    a seeded spec's n replaced by the seed its draw reads, so specs that draw
+    alike name one order."""
+    key = sweeps.parse_order_spec(spec)
+    return key if key[0] != "seed" else ("seed", _draw_seed(seed + key[1]))
+
+
 def _cmd_verify(args) -> int:
     if args.what == "decomposition-glr":
         shapes = partitions_up_to(args.max_size, max_rows=args.r)
@@ -228,9 +238,12 @@ def _cmd_verify(args) -> int:
         units = _decomposition_units(shapes, {"m": args.m, "n": args.n}, verify_decomposition_glmn)
     else:  # a sweep: every --orders rule runs here, before any output
         specs = tuple(args.orders.split(","))
-        named = {sweeps.parse_order_spec(s) for s in specs}  # refuses an unknown spec first
+        named = {_named_order(s, args.seed) for s in specs}  # refuses an unknown spec first
         if args.what == "order-independence" and len(named) < 2:
-            raise InputError(f"order-independence needs two distinct order specs, not {args.orders!r}")
+            raise InputError(
+                f"order-independence needs two distinct order specs, not {args.orders!r}"
+                " (seed:<n> draws under the seed |--seed + n|)"
+            )
         units = _sweep_units(args, specs)
     total = failures = 0
 

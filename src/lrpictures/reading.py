@@ -10,7 +10,9 @@ the cell sequence, so equal orders are one object while the table holds it,
 and the caches keyed by orders match them by identity. ``is_admissible`` only
 asks whether an order lists the cells of a given shape. When it is built, an
 order lays out all that the searches and the reading word walk; no other
-module derives it from the cells.
+module derives it from the cells. A seeded draw reads its seed's table of
+32-bit words, shared by every draw under that seed, and picks as
+``random.Random(seed).choice`` would; a seed and its negative draw alike.
 """
 
 from __future__ import annotations
@@ -136,27 +138,65 @@ def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
     return order._row_major == shape.cells()
 
 
+def _draw_seed(seed) -> int:
+    """The seed a draw for ``seed`` reads: ``seed`` checked like ``_integers``,
+    then its absolute value, as ``random.Random`` seeds an int by it. So a
+    seed and its negative draw alike; the CLI tells seeded specs apart by this."""
+    (seed,) = _integers((seed,))
+    return abs(seed)
+
+
+@lru_cache(maxsize=256)
+def _words(seed: int, count: int) -> tuple[int, ...]:
+    """The first ``count`` 32-bit words of ``random.Random(seed)``, each one
+    ``getrandbits(32)``; a longer table of a seed starts with every shorter one.
+    Draws share the tables and never change them."""
+    bits = random.Random(seed).getrandbits
+    return tuple([bits(32) for _ in range(count)])
+
+
+_BLOCK = 32  # the words a draw asks for first; it asks for twice as many when they run out
+
+
 def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
     """A random admissible order, drawn by repeatedly picking uniformly among
     the cells that no remaining cell is forced to precede. Deterministic in
-    ``seed``. The remaining cells of a row form a left segment; its last cell
+    ``seed``, an integer (ValueError otherwise); a seed and its negative draw
+    alike. The remaining cells of a row form a left segment; its last cell
     qualifies when it lies right of every remaining cell in the rows above.
-    Each call draws again (a sweep reads its draws through its own table);
-    the draw then finds its order in the table of orders."""
-    rng = random.Random(seed)
-    lefts = [shape.inner_width(i) for i in range(1, len(shape.outer) + 1)]
-    ends = list(shape.outer)  # per row, the rightmost remaining column
+    Each draw reads the seed's table of words (``_words``) from the start:
+    a pick among k cells takes the top ``k.bit_length()`` bits of the next
+    word until they fall below k, which is ``random.Random(seed).choice``'s
+    pick, word for word. Each call draws again (a sweep reads its draws
+    through its own table); the draw then finds its order in the table of
+    orders."""
+    seed = _draw_seed(seed)
+    words = _words(seed, _BLOCK)
+    t = 0  # the next word to read
+    outer, inner = shape.outer, shape.inner
+    lefts = inner + (0,) * (len(outer) - len(inner))  # per row, the last column left of the shape
+    ends = list(outer)  # per row, the rightmost remaining column
+    rows = [i for i, (left, end) in enumerate(zip(lefts, ends)) if end > left]  # the rows with cells left
     out = []
     for _ in range(shape.size):
-        minimal = []
+        minimal = []  # the rows whose last remaining cell qualifies, top to bottom
         reach = 0  # the rightmost remaining column in the rows above
-        for i, (left, end) in enumerate(zip(lefts, ends), start=1):
-            if end > left and end > reach:
-                minimal.append((i, end))
-                reach = end
-        pick = rng.choice(minimal)
-        ends[pick[0] - 1] -= 1
-        out.append(pick)
+        for i in rows:
+            if ends[i] > reach:
+                minimal.append(i)
+                reach = ends[i]
+        k = r = len(minimal)
+        shift = 32 - k.bit_length()
+        while r >= k:
+            if t == len(words):
+                words = _words(seed, 2 * t)
+            r = words[t] >> shift
+            t += 1
+        i = minimal[r]
+        out.append((i + 1, ends[i]))
+        ends[i] -= 1
+        if ends[i] == lefts[i]:
+            rows.remove(i)
     return AdmissibleOrder._build(tuple(out))
 
 

@@ -333,6 +333,9 @@ ROW2_IDENTITY = {"domain": ROW2, "codomain": ROW2, "map": [[[1, 1], [1, 1]], [[1
          "companion_tableau input is not a two-family LR member"),
         # no shape has at most -1 rows; the bound is refused before any check runs
         ("verify decomposition-glr --max-size 2 --r -1", None, "max_rows must be nonnegative"),
+        # a seed and its negative draw alike, so each list names one order twice
+        ("verify order-independence --max-size 3 --orders seed:3,seed:-3", None, "two distinct order specs"),
+        ("verify order-independence --max-size 3 --seed 5 --orders seed:-10,seed:0", None, "two distinct order specs"),
     ],
 )
 def test_inputs_the_library_refuses_are_exit_2(capsys, tmp_path, argv, given, named):

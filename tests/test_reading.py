@@ -11,8 +11,10 @@ from oracles import admissible_oracle, lattice_oracle, random_order_oracle
 from lrpictures import serialize
 from lrpictures.diagram import SkewShape, partitions_up_to, subdiagrams
 from lrpictures.reading import (
+    _BLOCK,
     AdmissibleOrder,
     _orders,
+    _words,
     far_eastern,
     is_admissible,
     is_lattice_permutation,
@@ -174,6 +176,36 @@ def test_random_orders_match_the_pairwise_draw():
             for seed in range(6):
                 ours = random_admissible_order(s, seed).cells
                 assert ours == random_order_oracle(s, seed), (s, seed)
+
+
+def test_random_orders_match_the_pairwise_draw_at_large_and_negative_seeds():
+    # rng.choice under seeds whose generators seed through several key words,
+    # or through the absolute value, on the 3x3 box and on shapes with many
+    # rows, whose draws read past the first block of words
+    box = subdiagrams((3, 3, 3))
+    shapes = [SkewShape(outer, inner) for outer in box for inner in subdiagrams(outer)]
+    shapes += [SkewShape((5, 4, 3, 2, 1)), SkewShape((8, 7, 6, 5, 4, 3, 2, 1))]
+    assert shapes[-1].size > _BLOCK
+    seeds = (-1, -7, 2**31 - 1, 2**32, 2**64 + 3, 2**30 - 3)
+    _words.cache_clear()
+    for shape in shapes:
+        for seed in seeds:
+            assert random_admissible_order(shape, seed).cells == random_order_oracle(shape, seed), (shape, seed)
+    # one first block per seed, and longer tables for the draws that ran past it
+    assert _words.cache_info().misses > len(seeds)
+    assert all(_words(seed, 2 * _BLOCK)[:_BLOCK] == _words(seed, _BLOCK) for seed in seeds)
+
+
+def test_a_seed_and_its_negative_draw_alike():
+    shape = SkewShape((4, 3, 2, 1))
+    for seed in (1, 3, 2**64 + 3):
+        assert random_admissible_order(shape, -seed) is random_admissible_order(shape, seed)
+
+
+@pytest.mark.parametrize("seed", [None, "3", 1.5])
+def test_random_orders_refuse_seeds_that_are_not_integers(seed):
+    with pytest.raises(ValueError, match="expected integers"):
+        random_admissible_order(SkewShape((4, 3, 2, 1)), seed)
 
 
 def test_random_orders_vary_with_seed():
