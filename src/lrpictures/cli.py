@@ -12,8 +12,9 @@ own, so it leaves at once, and the rest in batches of 512 lines, one write
 each. The decomposition sweeps compute each line as they go, so their lines
 wait for their batch too.
 
-Order specs are ME, FE, seed:<n>, or @file.json holding an array of cells;
-seed:<n> draws under the seed |--seed + n|, so seed:3 and seed:-3 are one order.
+Order specs are ME (the default), FE, seed:<n>, or @file.json holding an array
+of cells; seed:<n> draws under the seed |--seed + n|, so seed:3 and seed:-3 are
+one order. That rule lives in ``sweeps.parse_order_spec`` alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .lr import (
     tableau_to_picture,
 )
 from .picture import enumerate_pictures, omega
-from .reading import _draw_seed
 from .render import render_picture, render_shape, render_tableau
 from .tableau import content, enumerate_glmn, enumerate_ssyt
 
@@ -85,9 +85,7 @@ def _load_json(path: str):
         raise InputError(str(e)) from None
 
 
-def _resolve_order(spec: str | None, shape: SkewShape, seed: int):
-    if spec is None:
-        spec = "ME"
+def _resolve_order(spec: str, shape: SkewShape, seed: int):
     if spec.startswith("@"):
         return serialize.order_from_obj(_load_json(spec[1:]))
     return sweeps.resolve_order(spec, shape, seed)
@@ -221,14 +219,6 @@ def _decomposition_units(shapes, params: dict, check):
             yield [{"y": list(y), "w": list(w), **params, **report.to_obj()}], report.passed
 
 
-def _named_order(spec: str, seed: int) -> tuple:
-    """The order ``spec`` names under seed base ``seed``: its parsed key, with
-    a seeded spec's n replaced by the seed its draw reads, so specs that draw
-    alike name one order."""
-    key = sweeps.parse_order_spec(spec)
-    return key if key[0] != "seed" else ("seed", _draw_seed(seed + key[1]))
-
-
 def _cmd_verify(args) -> int:
     if args.what == "decomposition-glr":
         shapes = partitions_up_to(args.max_size, max_rows=args.r)
@@ -238,7 +228,7 @@ def _cmd_verify(args) -> int:
         units = _decomposition_units(shapes, {"m": args.m, "n": args.n}, verify_decomposition_glmn)
     else:  # a sweep: every --orders rule runs here, before any output
         specs = tuple(args.orders.split(","))
-        named = {_named_order(s, args.seed) for s in specs}  # refuses an unknown spec first
+        named = {sweeps.parse_order_spec(s, args.seed) for s in specs}  # refuses an unknown spec first
         if args.what == "order-independence" and len(named) < 2:
             raise InputError(
                 f"order-independence needs two distinct order specs, not {args.orders!r}"
@@ -285,16 +275,16 @@ _COMMANDS = {
         "glmn": ("two-family semistandard fillings", {"shape": _TEXT, "m": _INT, "n": _INT}, {}),
         "lr": ("two-family LR tableaux of a triple", {
             "y": _TEXT, "w": _TEXT, "z": _TEXT,
-            "order": {"help": "order on z/y: ME | FE | seed:<n> | @file.json"}, "seed": _SEED,
+            "order": {"help": "order on z/y: ME | FE | seed:<n> | @file.json", "default": "ME"}, "seed": _SEED,
         }, {}),
         "lrglr": ("classical LR family over a shape", {
             "y": _TEXT, "w": {**_TEXT, "help": "reading shape, outer[/inner]"}, "z": _TEXT,
-            "order": {"help": "order on w: ME | FE | seed:<n> | @file.json"}, "seed": _SEED,
+            "order": {"help": "order on w: ME | FE | seed:<n> | @file.json", "default": "ME"}, "seed": _SEED,
             "max-entry": {"type": int},
         }, {}),
         "pictures": ("admissible pictures between two shapes", {
-            "domain": _TEXT, "codomain": _TEXT, "order": {"help": "order on the codomain"},
-            "order2": {"help": "order on the domain"}, "seed": _SEED,
+            "domain": _TEXT, "codomain": _TEXT, "order": {"help": "order on the codomain", "default": "ME"},
+            "order2": {"help": "order on the domain", "default": "ME"}, "seed": _SEED,
         }, {}),
     }),
     "map": ("apply one of the bijections to a JSON value", _cmd_map, "name", {

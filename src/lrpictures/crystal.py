@@ -112,6 +112,9 @@ class DecompositionReport:
             return NotImplemented
         return self._fields() == other._fields()
 
+    def __reduce__(self):  # protocols 0 and 1 cannot pickle __slots__ without it
+        return DecompositionReport, self._fields()
+
     def __repr__(self):
         return (
             f"DecompositionReport(lhs_card={self.lhs_card!r}, rhs_card={self.rhs_card!r}, "

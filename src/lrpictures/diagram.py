@@ -168,6 +168,12 @@ def _nested(outer: Partition, inner: Partition) -> SkewShape:
     return _skew(outer, inner)
 
 
+def _shape_of(w) -> SkewShape:
+    """``w`` itself when it is a skew shape, else the straight shape of the
+    partition ``w``: the one place a W given either way becomes a shape."""
+    return w if isinstance(w, SkewShape) else _skew(as_partition(w), ())
+
+
 def _grow(rows: list, word) -> int:
     """Append one box to row j of ``rows`` for each letter j of ``word``, in place.
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .diagram import SkewShape, _add_boxes, _nonnegative, _require_hooks, _skew, as_partition, partition_contains
+from .diagram import (
+    SkewShape, _add_boxes, _nonnegative, _require_hooks, _shape_of, _skew, as_partition, partition_contains,
+)
 from .picture import Picture, is_admissible_picture, omega
 from .reading import AdmissibleOrder, far_eastern, is_admissible, middle_eastern
 from .tableau import Tableau, _p_indices, content, is_semistandard
@@ -59,7 +61,7 @@ def glr_lr_tableaux(
     |z|; and ``max_entry`` keeps the whole family when no row of z/y past it
     holds a box, and empties it when one does.
     """
-    shape = w if isinstance(w, SkewShape) else SkewShape(w)
+    shape = _shape_of(w)
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
     if max_entry is not None:
@@ -77,22 +79,17 @@ def _family(shape: SkewShape, start, end, order: AdmissibleOrder) -> tuple[Table
     return lr_families(shape, start, order, end).get(end, ())
 
 
-def _ends(w) -> tuple[tuple, tuple]:
-    """(W.inner, W.outer); a partition ``w`` gives ((), w) and builds no SkewShape."""
-    return (w.inner, w.outer) if isinstance(w, SkewShape) else ((), as_partition(w))
-
-
 def is_glmn_lr_tableau(q: Tableau, y, w, z, order: AdmissibleOrder | None = None) -> bool:
     """Membership in the two-family LR set: shape Z/Y, classical semistandard
     condition, and a reading that grows W.inner into W.outer, which for a
     partition ``w`` means content ``w`` and a lattice reading word. Past the
     shape this is classical membership for (W.inner, W.outer)."""
     y, z = as_partition(y), as_partition(z)
-    start, end = _ends(w)
+    w = _shape_of(w)
     order = _checked_order(q.shape, order)
     if not partition_contains(z, y) or q.shape != _skew(z, y):
         return False
-    return is_glr_lr_tableau(q, start, end, order)
+    return is_glr_lr_tableau(q, w.inner, w.outer, order)
 
 
 def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tableau, ...]:
@@ -104,11 +101,11 @@ def glmn_lr_tableaux(y, w, z, order: AdmissibleOrder | None = None) -> tuple[Tab
     z contains y and |y| + |W| is |z|: a filling of Z/Y adds |Z/Y| boxes.
     """
     y, z = as_partition(y), as_partition(z)
-    start, end = _ends(w)
+    w = _shape_of(w)
     if not partition_contains(z, y):
         return ()
     shape = _skew(z, y)
-    return _family(shape, start, end, _checked_order(shape, order))
+    return _family(shape, w.inner, w.outer, _checked_order(shape, order))
 
 
 def _lr_fillings(shape, start, ceiling, order):
@@ -292,9 +289,7 @@ def lr_coefficient(y, w, z, m: int, n: int, verify: bool = False) -> LRCoefficie
     ``verify`` they are asserted equal. A size mismatch gives (0, 0).
     """
     y, w, z = _require_hooks(m, n, y=y, w=w, z=z)
-    if sum(y) + sum(w) != sum(z):
-        return LRCoefficient(0, 0)
-    c = len(glr_lr_tableaux(SkewShape(w), y, z))
+    c = len(glr_lr_tableaux(w, y, z))  # on a size mismatch both families are empty, unsearched
     n_super = len(glmn_lr_tableaux(y, w, z))
     if verify and c != n_super:
         raise ValueError(f"count mismatch for ({y}, {w}, {z}): {c} != {n_super}")

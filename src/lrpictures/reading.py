@@ -5,14 +5,15 @@ another (row at most, column at least) comes first. The two classical examples
 scan rows top to bottom reading each right to left, and columns right to left
 reading each top to bottom. An ``AdmissibleOrder`` built from outside input is
 checked once, when it is built; the constructors below make admissible
-sequences and skip the checks. Every route ends in one bounded table keyed by
-the cell sequence, so equal orders are one object while the table holds it,
-and the caches keyed by orders match them by identity. ``is_admissible`` only
-asks whether an order lists the cells of a given shape. When it is built, an
-order lays out all that the searches and the reading word walk; no other
-module derives it from the cells. A seeded draw reads its seed's table of
-32-bit words, shared by every draw under that seed, and picks as
-``random.Random(seed).choice`` would; a seed and its negative draw alike.
+sequences and skip the checks. Every constructor calls ``_orders``, the one
+bounded table keyed by the cell sequence, so equal orders are one object
+while the table holds it, and the caches keyed by orders match them by
+identity. ``is_admissible`` only asks whether an order lists the cells of a
+given shape. When it is built, an order lays out all that the searches and
+the reading word walk; no other module derives it from the cells. A seeded
+draw reads its seed's table of 32-bit words, shared by every draw under that
+seed, and picks as ``random.Random(seed).choice`` would; a seed and its
+negative draw alike.
 """
 
 from __future__ import annotations
@@ -29,21 +30,21 @@ class AdmissibleOrder:
     """An admissible order on a finite cell set, stored as the explicit sequence.
 
     ``AdmissibleOrder(cells)`` checks outside input, raising ValueError on
-    cells that are not integer pairs, a repeat or an inadmissible sequence;
-    it ends in ``_build``, which takes a sequence the library made admissible
-    itself and returns the entry for it in the bounded table of ``_orders``,
-    laying the order out (``_lay_out``) only on a miss. So equal orders are
-    one object while that table holds them; one built after its entry was
-    dropped is another object, equal and with the same hash. Per position,
-    ``_up`` and ``_right`` hold the positions of the upper and right
-    neighbours (-1 if absent). Two readers
-    go both ways between row-major order and the order: ``_reader`` takes a
-    row-major entry vector to the reading word, and ``_writer``, its inverse,
-    takes a vector indexed by position to the row-major tuple. For the
-    picture search, ``_succs`` pairs each cell's right and lower neighbours
-    with the position of that neighbour's other left or upper neighbour (-1
-    if none), ``_roots`` is the bitset of the cells with neither, and
-    ``_pairs`` counts the upper plus the right neighbours."""
+    cells that are not integer pairs, a repeat or an inadmissible sequence,
+    then returns the entry for the sequence in ``_orders``, the bounded table
+    that every constructor calls directly with a sequence it made admissible
+    itself; the order is laid out (``_lay_out``) only on a miss. So equal
+    orders are one object while that table holds them; one built after its
+    entry was dropped is another object, equal and with the same hash. Per
+    position, ``_up`` and ``_right`` hold the positions of the upper and
+    right neighbours (-1 if absent). Two readers go both ways between
+    row-major order and the order: ``_reader`` takes a row-major entry vector
+    to the reading word, and ``_writer``, its inverse, takes a vector indexed
+    by position to the row-major tuple. For the picture search, ``_succs``
+    pairs each cell's right and lower neighbours with the position of that
+    neighbour's other left or upper neighbour (-1 if none), ``_roots`` is the
+    bitset of the cells with neither, and ``_pairs`` counts the upper plus the
+    right neighbours."""
 
     __slots__ = ("cells", "_row_major", "_up", "_right", "_reader", "_writer", "_succs", "_roots", "_pairs", "_hash")
 
@@ -58,10 +59,6 @@ class AdmissibleOrder:
                 if row <= i and col >= j:
                     raise ValueError(f"order is not admissible: {(row, col)} must come before {(i, j)}")
             rightmost[i] = j  # the later cells of row i all lie left of column j
-        return cls._build(cells)
-
-    @staticmethod
-    def _build(cells: tuple) -> AdmissibleOrder:
         return _orders(cells)
 
     @classmethod
@@ -116,20 +113,19 @@ class AdmissibleOrder:
 @lru_cache(maxsize=1 << 12)
 def _orders(cells: tuple) -> AdmissibleOrder:
     """The one table of orders: ``AdmissibleOrder._lay_out(cells)``, laid out
-    once per cell sequence. Every constructor ends here."""
+    once per cell sequence. Every constructor calls it."""
     return AdmissibleOrder._lay_out(cells)
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 12)  # the maps read it once per tableau, so it keeps its own table
 def middle_eastern(shape: SkewShape) -> AdmissibleOrder:
     """Rows top to bottom, each row right to left."""
-    return AdmissibleOrder._build(tuple(sorted(shape.cells(), key=lambda c: (c[0], -c[1]))))
+    return _orders(tuple(sorted(shape.cells(), key=lambda c: (c[0], -c[1]))))
 
 
-@lru_cache(maxsize=1 << 12)
-def far_eastern(shape: SkewShape) -> AdmissibleOrder:
+def far_eastern(shape: SkewShape) -> AdmissibleOrder:  # no table: sweeps resolve it once per shape
     """Columns right to left, each column top to bottom."""
-    return AdmissibleOrder._build(tuple(sorted(shape.cells(), key=lambda c: (-c[1], c[0]))))
+    return _orders(tuple(sorted(shape.cells(), key=lambda c: (-c[1], c[0]))))
 
 
 def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
@@ -141,7 +137,8 @@ def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
 def _draw_seed(seed) -> int:
     """The seed a draw for ``seed`` reads: ``seed`` checked like ``_integers``,
     then its absolute value, as ``random.Random`` seeds an int by it. So a
-    seed and its negative draw alike; the CLI tells seeded specs apart by this."""
+    seed and its negative draw alike; ``sweeps.parse_order_spec`` names
+    seeded specs by this."""
     (seed,) = _integers((seed,))
     return abs(seed)
 
@@ -197,7 +194,7 @@ def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
         ends[i] -= 1
         if ends[i] == lefts[i]:
             rows.remove(i)
-    return AdmissibleOrder._build(tuple(out))
+    return _orders(tuple(out))
 
 
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:

@@ -20,36 +20,43 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .diagram import SkewShape, _nested, _skew, as_partition, partitions_of, partitions_up_to, subdiagrams
+from .diagram import SkewShape, _nested, _shape_of, as_partition, partitions_of, partitions_up_to, subdiagrams
 from .lr import is_glmn_lr_tableau, lr_families, picture_to_tableau, tableau_to_picture
 from .picture import enumerate_pictures, omega
-from .reading import AdmissibleOrder, far_eastern, middle_eastern, random_admissible_order
+from .reading import AdmissibleOrder, _draw_seed, far_eastern, middle_eastern, random_admissible_order
 
 DEFAULT_ORDERS = ("ME", "FE")
 
 
-def parse_order_spec(spec: str) -> tuple:
-    """The order a textual spec (ME | FE | seed:<n>) names, as ("ME",), ("FE",)
-    or ("seed", n). Equal keys name the same order on every shape, so
-    ``seed:0`` and ``seed:00`` are one spec."""
+def parse_order_spec(spec: str, seed_base: int = 0) -> tuple:
+    """The order a textual spec (ME | FE | seed:<n>) names under the seed base
+    ``seed_base``: ("ME",), ("FE",) or ("seed", s), where s is the seed the
+    draw reads, |seed_base + n| (``_draw_seed``). Keys are equal exactly when
+    the specs name the same order on every shape, so ``seed:0`` and
+    ``seed:00`` are one order, and so are ``seed:3`` and ``seed:-3``. The
+    seed rule lives here alone; ValueError on an unknown spec or a base that
+    is not an integer."""
     if spec in ("ME", "FE"):
         return (spec,)
     if spec.startswith("seed:"):
         try:
-            return ("seed", int(spec[5:]))
+            n = int(spec[5:])
         except ValueError:
             pass
+        else:
+            return ("seed", _draw_seed(seed_base + n))
     raise ValueError(f"unknown order spec {spec!r}")
 
 
 def resolve_order(spec: str, shape: SkewShape, seed_base: int = 0) -> AdmissibleOrder:
-    """Turn a textual order spec (ME | FE | seed:<n>) into an order on ``shape``."""
-    key = parse_order_spec(spec)
+    """Turn a textual order spec (ME | FE | seed:<n>) into an order on
+    ``shape``, a seeded one drawn under the key ``parse_order_spec`` gives it."""
+    key = parse_order_spec(spec, seed_base)
     if key == ("ME",):
         return middle_eastern(shape)
     if key == ("FE",):
         return far_eastern(shape)
-    return random_admissible_order(shape, seed_base + key[1])
+    return random_admissible_order(shape, key[1])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -60,11 +67,6 @@ def _resolved(shape: SkewShape, specs: tuple, seed: int) -> tuple[tuple[Admissib
     distinct = dict.fromkeys(orders)
     at = {o: k for k, o in enumerate(distinct)}
     return tuple(distinct), tuple([at[o] for o in orders])
-
-
-def _shape_of(w) -> SkewShape:
-    """``w`` itself when it is a skew shape, else the straight shape of the partition ``w``."""
-    return w if isinstance(w, SkewShape) else _skew(as_partition(w), ())
 
 
 def _yz_walk(max_z: int):

@@ -171,13 +171,10 @@ def content(t: Tableau) -> tuple[int, ...]:
 def glmn_weight(t: Tableau, m: int, n: int) -> tuple[int, ...]:
     """Letter counts over the two-family alphabet, plain letters first."""
     m, n = _nonnegative("m", m), _nonnegative("n", n)
-    w = [0] * (m + n)
     for e in t.entries:
-        idx = e - 1 if e > 0 else m + (-e) - 1
-        if idx < 0 or idx >= m + n:
+        if e > m or -e > n:
             raise ValueError(f"entry {e} outside the ({m},{n}) alphabet")
-        w[idx] += 1
-    return tuple(w)
+    return _letter_counts([e if e > 0 else m - e for e in t.entries], m + n)
 
 
 def p_index(t: Tableau, cell: Cell) -> int:

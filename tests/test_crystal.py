@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 
 import pytest
@@ -193,6 +194,8 @@ def test_decomposition_report_fields_equality_and_object_form():
     # summand shapes are keyed by their rows, in sorted order
     assert rep.to_obj() == {"lhs_card": 4, "rhs_card": 4, "per_shape": {"1,1": 1, "2": 1}, "pass": True}
     assert list(rep.to_obj()["per_shape"]) == ["1,1", "2"]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(rep, protocol)) == rep
 
 
 def test_glmn_decomposition_rejects_non_hooks():

@@ -31,6 +31,11 @@ def test_parse_order_spec():
     for spec in ("bogus", "me", "", "seed:x", "seed:"):
         with pytest.raises(ValueError, match=f"unknown order spec {spec!r}"):
             sweeps.parse_order_spec(spec)
+    # a key names the seed the draw reads, |base + n|: equal keys exactly when the draws agree
+    assert sweeps.parse_order_spec("seed:3") == sweeps.parse_order_spec("seed:-3")
+    assert sweeps.parse_order_spec("seed:1", 2) == sweeps.parse_order_spec("seed:-5", 2) == ("seed", 3)
+    with pytest.raises(ValueError, match="expected integers"):
+        sweeps.parse_order_spec("seed:1", 1.5)
 
 
 def test_resolved_orders_are_the_distinct_resolutions_in_order_of_first_use():

@@ -134,6 +134,11 @@ def test_content_and_weight():
     assert glmn_weight(from_rows([[1, bar(2)]]), 1, 2) == (1, 0, 1)
     with pytest.raises(ValueError):
         glmn_weight(from_rows([[3]]), 1, 1)
+    # a plain letter above m is outside the alphabet too, not a barred letter
+    with pytest.raises(ValueError, match=r"entry 2 outside the \(1,1\) alphabet"):
+        glmn_weight(from_rows([[1, 2]]), 1, 1)
+    with pytest.raises(ValueError, match=r"entry 3 outside the \(2,2\) alphabet"):
+        glmn_weight(from_rows([[3]]), 2, 2)
     # a negative alphabet size is refused, not read as a shorter weight
     with pytest.raises(ValueError):
         glmn_weight(from_rows([[1]]), -1, 2)
