@@ -25,7 +25,7 @@ from .diagram import (
     partition_contains,
     partitions_of,
 )
-from .lr import lr_families
+from .lr import _Value, lr_families
 from .reading import _check_word, far_eastern, middle_eastern
 from .tableau import _fillings, _iter_fillings, _letter_counts
 
@@ -88,38 +88,19 @@ def weight(word) -> tuple[int, ...]:
     return _letter_counts(word, max(word, default=0))
 
 
-class DecompositionReport:
-    """Outcome of a product-decomposition check.
-
-    ``per_shape`` maps each summand shape to its multiplicity; ``lhs_card`` and
-    ``rhs_card`` count the elements (or weight vectors) on the two sides.
-    Reports with equal fields are equal.
-    """
+class DecompositionReport(_Value):
+    """Outcome of a product-decomposition check: ``per_shape`` maps each
+    summand shape to its multiplicity, ``lhs_card`` and ``rhs_card`` count the
+    elements (or weight vectors) on the two sides, and ``passed`` is the
+    verdict. Its ``per_shape`` dict leaves it unhashable."""
 
     __slots__ = ("lhs_card", "rhs_card", "per_shape", "passed")
 
     def __init__(self, lhs_card: int, rhs_card: int, per_shape: dict[Partition, int], passed: bool):
-        self.lhs_card = lhs_card
-        self.rhs_card = rhs_card
-        self.per_shape = per_shape
-        self.passed = passed
-
-    def _fields(self) -> tuple:
-        return (self.lhs_card, self.rhs_card, self.per_shape, self.passed)
-
-    def __eq__(self, other):
-        if other.__class__ is not DecompositionReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __reduce__(self):  # protocols 0 and 1 cannot pickle __slots__ without it
-        return DecompositionReport, self._fields()
-
-    def __repr__(self):
-        return (
-            f"DecompositionReport(lhs_card={self.lhs_card!r}, rhs_card={self.rhs_card!r}, "
-            f"per_shape={self.per_shape!r}, passed={self.passed!r})"
-        )
+        object.__setattr__(self, "lhs_card", lhs_card)
+        object.__setattr__(self, "rhs_card", rhs_card)
+        object.__setattr__(self, "per_shape", per_shape)
+        object.__setattr__(self, "passed", passed)
 
     def to_obj(self) -> dict:
         return {

@@ -203,19 +203,23 @@ def add_box(y, j: int) -> Partition | None:
 
 
 def add_boxes(y, word) -> Partition | None:
-    """Left fold of add_box over ``word``; None as soon as any step fails."""
-    return _add_boxes(as_partition(y), word)
+    """Left fold of add_box over ``word``; None as soon as any step fails.
+    A letter of 0 or below is a failed step; one that is not an integer (1.0,
+    "1") raises ValueError."""
+    return _add_boxes(as_partition(y), _integers(word))
 
 
 def first_invalid_step(y, word) -> int | None:
     """1-based index of the first letter whose box addition fails, or None."""
-    return _grow(list(as_partition(y)), word) or None
+    return _grow(list(as_partition(y)), _integers(word)) or None
 
 
 @lru_cache(maxsize=1 << 10)
 def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = None) -> tuple[Partition, ...]:
     """All partitions of ``n``, in decreasing lexicographic order; ValueError
-    for a negative bound on the rows or the columns."""
+    for a negative bound on the rows or the columns, or for a size or bound
+    that is not an integer."""
+    (n,) = _integers((n,))
     rows = n if max_rows is None else _nonnegative("max_rows", max_rows)
     cols = n if max_cols is None else _nonnegative("max_cols", max_cols)
     if n < 0:
@@ -236,10 +240,8 @@ def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = No
 
 def partitions_up_to(n: int, max_rows: int | None = None, max_cols: int | None = None) -> tuple[Partition, ...]:
     """All partitions of size 0..n, smaller sizes first."""
-    out = []
-    for k in range(n + 1):
-        out.extend(partitions_of(k, max_rows, max_cols))
-    return tuple(out)
+    (n,) = _integers((n,))
+    return tuple(p for k in range(n + 1) for p in partitions_of(k, max_rows, max_cols))
 
 
 def subdiagrams(z) -> tuple[Partition, ...]:

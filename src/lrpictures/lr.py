@@ -248,18 +248,18 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     return t
 
 
-class LRCoefficient:
-    """Both counts for one triple: classical tableaux and two-family tableaux.
+class _Value:
+    """A result value. Its fields are the ``__slots__`` of its own class (so a
+    result class is not subclassed further), which its ``__init__`` sets once
+    with ``object.__setattr__``; nothing changes them after that. Equal to a
+    value of the same class with equal fields and to nothing else, not even a
+    tuple of them; hashed by its fields; pickled through the constructor;
+    shown as ``Name(field=value, ...)``."""
 
-    A value: equal to and hashed like another LRCoefficient with the same
-    ``(c, n_super)``, and nothing changes it after it is built.
-    """
+    __slots__ = ()
 
-    __slots__ = ("c", "n_super")
-
-    def __init__(self, c: int, n_super: int):
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "n_super", n_super)
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -268,18 +268,30 @@ class LRCoefficient:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is not LRCoefficient:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.c == other.c and self.n_super == other.n_super
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((self.c, self.n_super))
+        return hash(self._fields())
 
     def __reduce__(self):  # rebuilt through the constructor, which alone may set fields
-        return LRCoefficient, (self.c, self.n_super)
+        return self.__class__, self._fields()
 
     def __repr__(self):
-        return f"LRCoefficient(c={self.c!r}, n_super={self.n_super!r})"
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__name__}({fields})"
+
+
+class LRCoefficient(_Value):
+    """Both counts for one triple: ``c`` classical tableaux and ``n_super``
+    two-family tableaux."""
+
+    __slots__ = ("c", "n_super")
+
+    def __init__(self, c: int, n_super: int):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "n_super", n_super)
 
 
 def lr_coefficient(y, w, z, m: int, n: int, verify: bool = False) -> LRCoefficient:

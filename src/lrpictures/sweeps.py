@@ -228,13 +228,17 @@ def run_sweep(
 ) -> list[dict]:
     """check_triple over every triple, in a canonical deterministic order.
 
+    A triple's y and z may be spelled any way a partition can be, and W as a
+    partition or a skew shape; the triples are sorted as their canonical
+    values, so the records come out in the same order however they are spelled.
+
     ``jobs`` caps the worker processes; no more start than there are CPUs or
     chunks of work, and with one the sweep runs in this process."""
     _refuse_bad_request(specs, roundtrips, pictures)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
-    tasks = [(y, _shape_of(w), z, *rest) for y, w, z in triples]
+    tasks = [(as_partition(y), _shape_of(w), as_partition(z), *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))
     workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
     if workers <= 1:
@@ -250,7 +254,7 @@ def record_ok(rec: dict) -> bool:
     counts = {rec["c"], rec["n_super"]}
     for entry in rec["orders"]:
         if entry["pictures"] is not None:
-            counts.update((entry["pictures"], entry["pictures_swapped"]))
+            counts.add(entry["pictures"])
         if entry["roundtrip_ok"] is False:
             return False
     return len(counts) == 1 and rec["order_independent"] and rec["identity_ok"]

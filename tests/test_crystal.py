@@ -26,7 +26,7 @@ from lrpictures.diagram import (
     partitions_up_to,
     subdiagrams,
 )
-from lrpictures.lr import glmn_lr_tableaux, glr_lr_tableaux, lr_coefficient
+from lrpictures.lr import LRCoefficient, _Value, glmn_lr_tableaux, glr_lr_tableaux, lr_coefficient
 from lrpictures.reading import (
     far_eastern,
     is_lattice_permutation,
@@ -196,6 +196,35 @@ def test_decomposition_report_fields_equality_and_object_form():
     assert list(rep.to_obj()["per_shape"]) == ["1,1", "2"]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(rep, protocol)) == rep
+
+
+def test_decomposition_report_is_a_frozen_value_of_its_own():
+    rep = verify_decomposition_glmn((1,), (1,), 1, 1)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'passed'$"):
+        rep.passed = False
+    with pytest.raises(AttributeError, match="^cannot delete field 'lhs_card'$"):
+        del rep.lhs_card
+    with pytest.raises(AttributeError):
+        rep.extra = 1
+    assert rep.passed and rep.lhs_card == 4
+    with pytest.raises(TypeError):  # its per_shape is a dict
+        hash(rep)
+
+
+def test_a_result_equals_only_a_result_of_its_own_class():
+    coefficient = lr_coefficient((1,), (1,), (2,), 1, 1)
+    report = DecompositionReport(1, 1, {}, True)
+    assert coefficient != report and report != coefficient
+
+    class Counts(_Value):  # another result with the same fields
+        __slots__ = ("c", "n_super")
+
+        def __init__(self, c, n_super):
+            object.__setattr__(self, "c", c)
+            object.__setattr__(self, "n_super", n_super)
+
+    assert coefficient == LRCoefficient(1, 1) and Counts(1, 1) == Counts(1, 1)
+    assert Counts(1, 1) != coefficient and coefficient != Counts(1, 1)
 
 
 def test_glmn_decomposition_rejects_non_hooks():

@@ -146,6 +146,18 @@ def test_add_box():
         add_box((2.0,), 1)
 
 
+def test_box_growth_refuses_letters_that_are_not_integers():
+    # a float letter is not rounded to a row, and text is refused the same way
+    for call in (
+        lambda: add_boxes((), [1.0]),
+        lambda: add_box((1,), 2.0),
+        lambda: first_invalid_step((1,), [1.5]),
+        lambda: add_boxes((1,), ["a"]),
+    ):
+        with pytest.raises(ValueError, match="expected integers"):
+            call()
+
+
 def test_add_boxes_examples():
     assert add_boxes((), (1, 1)) == (2,)
     assert add_boxes((), (2,)) is None
@@ -187,6 +199,9 @@ def test_partition_counts():
         (lambda: partitions_up_to(2, -2), "max_rows"),
         (lambda: partitions_up_to(2, None, -1), "max_cols"),
         (lambda: partitions_of(3, 1.5), "expected integers"),
+        pytest.param(lambda: partitions_of(2.5), "expected integers", id="partitions_of-size"),
+        pytest.param(lambda: partitions_up_to(2.5), "expected integers", id="partitions_up_to-size"),
+        pytest.param(lambda: hook_partitions_up_to(2.5, 1, 1), "expected integers", id="hook_partitions_up_to-size"),
     ],
 )
 def test_partitions_refuse_a_negative_bound(call, named):

@@ -131,6 +131,16 @@ def test_check_triple_canonicalizes_once_and_refuses_as_skew_shape_does():
             sweeps.check_triple(y, (), z)
 
 
+def test_run_sweep_sorts_triples_as_canonical_values():
+    # the order of the records does not depend on how a partition is spelled,
+    # and spellings of different types sort together
+    padded = sweeps.run_sweep([((1, 0), (1, 1), (2, 1)), ((1,), (2,), (2, 1))], specs=("ME",))
+    canonical = sweeps.run_sweep([((1,), (1, 1), (2, 1)), ((1,), (2,), (2, 1))], specs=("ME",))
+    assert padded == canonical and [rec["w"] for rec in padded] == [((1, 1), ()), ((2,), ())]
+    mixed = sweeps.run_sweep([((1,), (1,), (2,)), ([1], [1], [2, 0])], specs=("ME",))
+    assert mixed == [sweeps.check_triple((1,), (1,), (2,), specs=("ME",))] * 2
+
+
 def test_roundtrips_without_pictures_are_refused():
     # the round-trips are checked against the pictures, so asking for them
     # without the pictures would skip them silently
@@ -148,6 +158,9 @@ def test_record_ok_spots_bad_counts():
     assert not sweeps.record_ok(broken)
     broken = dict(rec)
     broken["order_independent"] = False
+    assert not sweeps.record_ok(broken)
+    # a picture count one off fails the record by itself
+    broken = dict(rec, orders=[dict(rec["orders"][0], pictures=rec["c"] + 1)])
     assert not sweeps.record_ok(broken)
 
 
