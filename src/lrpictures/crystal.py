@@ -17,7 +17,7 @@ from operator import add
 from .diagram import (
     Partition,
     SkewShape,
-    _integers,
+    _integer,
     _require_hooks,
     _skew,
     as_partition,
@@ -28,14 +28,6 @@ from .diagram import (
 from .lr import _Value, lr_families
 from .reading import _check_word, far_eastern, middle_eastern
 from .tableau import _fillings, _iter_fillings, _letter_counts
-
-
-def _operator_index(i) -> int:
-    """``i`` as an int, checked like ``_integers``; ValueError unless positive."""
-    (i,) = _integers((i,))
-    if i < 1:
-        raise ValueError("operator index must be positive")
-    return i
 
 
 def _signature(word, i):
@@ -55,7 +47,7 @@ def _signature(word, i):
 
 def lower(word, i: int) -> tuple[int, ...] | None:
     """Flip the leftmost surviving i to i+1; None when every i is cancelled."""
-    word, i = _check_word(word), _operator_index(i)
+    word, i = _check_word(word), _integer(i, "operator index", 1)
     plus, _ = _signature(word, i)
     if not plus:
         return None
@@ -68,7 +60,7 @@ def raise_(word, i: int) -> tuple[int, ...] | None:
 
     Exact inverse of lower wherever either is defined.
     """
-    word, i = _check_word(word), _operator_index(i)
+    word, i = _check_word(word), _integer(i, "operator index", 1)
     _, minus = _signature(word, i)
     if not minus:
         return None
@@ -126,7 +118,7 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     ``w`` and collect the weights of the words no raising operator touches.
     Passes when all three multisets agree and the total cardinalities match.
     """
-    y, w = as_partition(y), as_partition(w)
+    y, w, r = as_partition(y), as_partition(w), _integer(r, "r", 0)
     if len(y) > r or len(w) > r:
         raise ValueError("shapes must have at most r rows")
     sy, sw = SkewShape(y), SkewShape(w)

@@ -23,11 +23,13 @@ def _integers(values) -> tuple[int, ...]:
         raise ValueError(f"expected integers, got {values!r}") from None
 
 
-def _nonnegative(name: str, value) -> int:
-    """``value`` as an int, checked like ``_integers``; ValueError if negative."""
+def _integer(value, name: str = "", low: int | None = None) -> int:
+    """``value`` as an int, the one rule for a count, bound, index or seed: it
+    passes as ``_integers`` lets it, and below ``low`` ValueError says "<name>
+    must be nonnegative" for a floor of 0, else "<name> must be at least <low>"."""
     (value,) = _integers((value,))
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be " + ("nonnegative" if low == 0 else f"at least {low}"))
     return value
 
 
@@ -60,14 +62,14 @@ def _hook(y: Partition, m: int, n: int) -> bool:
 def is_hook(y, m: int, n: int) -> bool:
     """True when ``y`` has no box at position (m+1, n+1), i.e. row m+1 is at most n."""
     y = as_partition(y)
-    return _hook(y, _nonnegative("m", m), _nonnegative("n", n))
+    return _hook(y, _integer(m, "m", 0), _integer(n, "n", 0))
 
 
 def _require_hooks(m: int, n: int, **parts) -> list[Partition]:
     """Each of ``parts`` canonicalized, all of them before any is tested;
     ValueError naming the first that is not an (m, n)-hook diagram."""
     parts = {name: as_partition(p) for name, p in parts.items()}
-    bounds = _nonnegative("m", m), _nonnegative("n", n)
+    bounds = _integer(m, "m", 0), _integer(n, "n", 0)
     for name, p in parts.items():
         if not _hook(p, *bounds):
             raise ValueError(f"{name}={p} is not a ({m},{n})-hook diagram")
@@ -127,7 +129,10 @@ class SkewShape:
         return self._row_major
 
     def __contains__(self, cell) -> bool:
-        i, j = cell
+        try:
+            i, j = _integers(cell)
+        except ValueError:  # not a pair of integers
+            return False
         if i < 1 or i > len(self.outer):
             return False
         return self.inner_width(i) < j <= self.outer[i - 1]
@@ -219,9 +224,9 @@ def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = No
     """All partitions of ``n``, in decreasing lexicographic order; ValueError
     for a negative bound on the rows or the columns, or for a size or bound
     that is not an integer."""
-    (n,) = _integers((n,))
-    rows = n if max_rows is None else _nonnegative("max_rows", max_rows)
-    cols = n if max_cols is None else _nonnegative("max_cols", max_cols)
+    n = _integer(n)
+    rows = n if max_rows is None else _integer(max_rows, "max_rows", 0)
+    cols = n if max_cols is None else _integer(max_cols, "max_cols", 0)
     if n < 0:
         return ()
 
@@ -240,8 +245,7 @@ def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = No
 
 def partitions_up_to(n: int, max_rows: int | None = None, max_cols: int | None = None) -> tuple[Partition, ...]:
     """All partitions of size 0..n, smaller sizes first."""
-    (n,) = _integers((n,))
-    return tuple(p for k in range(n + 1) for p in partitions_of(k, max_rows, max_cols))
+    return tuple(p for k in range(_integer(n) + 1) for p in partitions_of(k, max_rows, max_cols))
 
 
 def subdiagrams(z) -> tuple[Partition, ...]:
@@ -263,4 +267,5 @@ def subdiagrams(z) -> tuple[Partition, ...]:
 
 def hook_partitions_up_to(size: int, m: int, n: int) -> tuple[Partition, ...]:
     """All (m, n)-hook partitions of size 0..size."""
-    return tuple(p for p in partitions_up_to(size) if is_hook(p, m, n))
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
+    return tuple(p for p in partitions_up_to(size) if _hook(p, m, n))

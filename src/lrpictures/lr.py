@@ -17,22 +17,21 @@ the test suite.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import lt
 from types import MappingProxyType
 
 from .diagram import (
-    SkewShape, _add_boxes, _nonnegative, _require_hooks, _shape_of, _skew, as_partition, partition_contains,
+    SkewShape, _add_boxes, _integer, _require_hooks, _shape_of, _skew, as_partition, partition_contains,
 )
 from .picture import Picture, is_admissible_picture, omega
-from .reading import AdmissibleOrder, far_eastern, is_admissible, middle_eastern
+from .reading import AdmissibleOrder, _on, far_eastern, middle_eastern
 from .tableau import Tableau, _p_indices, content, is_semistandard
 
 
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
     if order is None:
         return middle_eastern(shape)
-    if not is_admissible(order, shape):
-        raise ValueError("order is not admissible on the shape")
-    return order
+    return _on(order, shape, "order is not admissible on the shape")
 
 
 def _has_barred(t: Tableau) -> bool:
@@ -65,7 +64,7 @@ def glr_lr_tableaux(
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(shape, order)
     if max_entry is not None:
-        k = _nonnegative("max_entry", max_entry)
+        k = _integer(max_entry, "max_entry", 0)
         if sum(z[k:]) > sum(y[k:]):  # a box of z/y below row k needs an entry past k
             return ()
     return _family(shape, y, z, order)
@@ -240,8 +239,10 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     ``verify``, the input must be a two-family LR member, checked before the
     map runs, and the output a classical one.
     """
-    if verify and not is_glmn_lr_tableau(q, q.shape.inner, content(q), q.shape.outer):
-        raise ValueError("companion_tableau input is not a two-family LR member")
+    if verify:
+        c = content(q)  # a content that is no partition has no lattice reading
+        if any(map(lt, c, c[1:])) or not is_glmn_lr_tableau(q, q.shape.inner, c, q.shape.outer):
+            raise ValueError("companion_tableau input is not a two-family LR member")
     t = picture_to_tableau(omega(tableau_to_picture(q)))
     if verify and not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):
         raise ValueError("companion_tableau output is not an LR member for the input's shape")

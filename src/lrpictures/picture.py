@@ -9,7 +9,7 @@ order-standard into the second order.
 from __future__ import annotations
 
 from .diagram import SkewShape, _integers
-from .reading import AdmissibleOrder, is_admissible
+from .reading import AdmissibleOrder, _on
 
 
 class Picture:
@@ -100,8 +100,8 @@ def is_pa_standard(mapping, target: AdmissibleOrder) -> bool:
 
 def is_admissible_picture(p: Picture, a: AdmissibleOrder, a_prime: AdmissibleOrder) -> bool:
     """``a`` orders the codomain cells, ``a_prime`` the domain cells."""
-    if not (is_admissible(a, p.codomain) and is_admissible(a_prime, p.domain)):
-        raise ValueError("orders do not match the picture's shapes")
+    _on(a, p.codomain, "orders do not match the picture's shapes")
+    _on(a_prime, p.domain, "orders do not match the picture's shapes")
     return is_pa_standard(p.forward, a) and is_pa_standard(p.backward, a_prime)
 
 
@@ -207,10 +207,8 @@ def enumerate_pictures(
     those plain tuples, as cells order as their row-major indices, and the
     pictures are built last; no dict is made per picture.
     """
-    if not is_admissible(a, y):
-        raise ValueError("a is not an admissible order on the codomain")
-    if not is_admissible(a_prime, x):
-        raise ValueError("a_prime is not an admissible order on the domain")
+    _on(a, y, "a is not an admissible order on the codomain")
+    _on(a_prime, x, "a_prime is not an admissible order on the domain")
     if x.size != y.size:
         return ()
     found = _bijections(a, a_prime, a._pairs < a_prime._pairs)

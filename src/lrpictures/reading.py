@@ -8,12 +8,12 @@ checked once, when it is built; the constructors below make admissible
 sequences and skip the checks. Every constructor calls ``_orders``, the one
 bounded table keyed by the cell sequence, so equal orders are one object
 while the table holds it, and the caches keyed by orders match them by
-identity. ``is_admissible`` only asks whether an order lists the cells of a
-given shape. When it is built, an order lays out all that the searches and
-the reading word walk; no other module derives it from the cells. A seeded
-draw reads its seed's table of 32-bit words, shared by every draw under that
-seed, and picks as ``random.Random(seed).choice`` would; a seed and its
-negative draw alike.
+identity. ``is_admissible`` only asks whether a value is an order listing the
+cells of a given shape, and ``_on`` is the one refusal of an order that does
+not. When it is built, an order lays out all that the searches and the reading
+word walk; no other module derives it from the cells. A seeded draw reads its
+seed's table of 32-bit words, shared by every draw under that seed, and picks
+as ``random.Random(seed).choice`` would; a seed and its negative draw alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import random
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import SkewShape, _grow, _integers
+from .diagram import SkewShape, _grow, _integer, _integers
 from .tableau import Tableau
 
 
@@ -128,19 +128,26 @@ def far_eastern(shape: SkewShape) -> AdmissibleOrder:  # no table: sweeps resolv
     return _orders(tuple(sorted(shape.cells(), key=lambda c: (-c[1], c[0]))))
 
 
-def is_admissible(order: AdmissibleOrder, shape: SkewShape) -> bool:
-    """True when ``order`` lists exactly the cells of ``shape``; the order
-    itself is admissible by construction."""
-    return order._row_major == shape.cells()
+def is_admissible(order, shape: SkewShape) -> bool:
+    """True when ``order`` is an ``AdmissibleOrder`` listing exactly the cells
+    of ``shape``, False for anything else; an order is admissible by
+    construction."""
+    return isinstance(order, AdmissibleOrder) and order._row_major == shape.cells()
+
+
+def _on(order, shape: SkewShape, message: str) -> AdmissibleOrder:
+    """``order`` if ``is_admissible(order, shape)``, else ValueError(message)."""
+    if not is_admissible(order, shape):
+        raise ValueError(message)
+    return order
 
 
 def _draw_seed(seed) -> int:
-    """The seed a draw for ``seed`` reads: ``seed`` checked like ``_integers``,
+    """The seed a draw for ``seed`` reads: ``seed`` as ``_integer`` takes it,
     then its absolute value, as ``random.Random`` seeds an int by it. So a
     seed and its negative draw alike; ``sweeps.parse_order_spec`` names
     seeded specs by this."""
-    (seed,) = _integers((seed,))
-    return abs(seed)
+    return abs(_integer(seed))
 
 
 @lru_cache(maxsize=256)
@@ -199,9 +206,7 @@ def random_admissible_order(shape: SkewShape, seed: int) -> AdmissibleOrder:
 
 def reading(t: Tableau, order: AdmissibleOrder) -> tuple[int, ...]:
     """The entries of ``t`` listed in ``order``."""
-    if not is_admissible(order, t.shape):
-        raise ValueError("order does not cover the cells of the tableau")
-    return order._reader(t.entries)
+    return _on(order, t.shape, "order does not cover the cells of the tableau")._reader(t.entries)
 
 
 def _check_word(word) -> tuple[int, ...]:

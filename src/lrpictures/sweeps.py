@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .diagram import SkewShape, _nested, _shape_of, as_partition, partitions_of, partitions_up_to, subdiagrams
+from .diagram import SkewShape, _integer, _nested, _shape_of, as_partition, partitions_of, partitions_up_to, subdiagrams
 from .lr import is_glmn_lr_tableau, lr_families, picture_to_tableau, tableau_to_picture
 from .picture import enumerate_pictures, omega
 from .reading import AdmissibleOrder, _draw_seed, far_eastern, middle_eastern, random_admissible_order
@@ -71,7 +71,7 @@ def _resolved(shape: SkewShape, specs: tuple, seed: int) -> tuple[tuple[Admissib
 
 def _yz_walk(max_z: int):
     """Every (y, z, |z| - |y|) with y inside z and |z| <= max_z, smaller z first."""
-    for total in range(max_z + 1):
+    for total in range(_integer(max_z) + 1):
         for z in partitions_of(total):
             for y in subdiagrams(z):
                 yield y, z, total - sum(y)
@@ -84,6 +84,8 @@ def straight_triples(max_z: int) -> list[tuple]:
 
 def skew_w_triples(box_rows: int, box_cols: int, max_w: int, max_z: int) -> list[tuple]:
     """(y, w, z) with w a skew shape inside a box, w nonempty allowed either way."""
+    box_rows, box_cols = _integer(box_rows, "box_rows", 0), _integer(box_cols, "box_cols", 0)
+    max_w = _integer(max_w)
     shapes = []
     for outer in partitions_up_to(box_rows * box_cols, box_rows, box_cols):
         for inner in subdiagrams(outer):
@@ -235,8 +237,7 @@ def run_sweep(
     ``jobs`` caps the worker processes; no more start than there are CPUs or
     chunks of work, and with one the sweep runs in this process."""
     _refuse_bad_request(specs, roundtrips, pictures)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    jobs = _integer(jobs, "jobs", 1)
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
     tasks = [(as_partition(y), _shape_of(w), as_partition(z), *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))

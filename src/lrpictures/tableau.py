@@ -12,14 +12,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .diagram import Cell, SkewShape, _integers, _nonnegative, as_partition
+from .diagram import Cell, SkewShape, _integer, _integers, as_partition
 
 
 def bar(k: int) -> int:
-    """The barred letter over k."""
-    if k < 1:
-        raise ValueError("bar expects a positive letter index")
-    return -k
+    """The barred letter over k, a positive integer."""
+    return -_integer(k, "letter index", 1)
 
 
 def entry_key(e: int):
@@ -147,7 +145,7 @@ def is_glmn_semistandard(t: Tableau, m: int, n: int) -> bool:
     """Two-family condition: rows and columns weakly increase, plain letters are
     strict down columns, barred letters are strict along rows, and every entry
     lies in the alphabet 1..m, bar(1)..bar(n)."""
-    m, n = _nonnegative("m", m), _nonnegative("n", n)
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
     if any(e > m or -e > n for e in t.entries):
         return False
     return _respects_bounds(t, m)
@@ -170,7 +168,7 @@ def content(t: Tableau) -> tuple[int, ...]:
 
 def glmn_weight(t: Tableau, m: int, n: int) -> tuple[int, ...]:
     """Letter counts over the two-family alphabet, plain letters first."""
-    m, n = _nonnegative("m", m), _nonnegative("n", n)
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
     for e in t.entries:
         if e > m or -e > n:
             raise ValueError(f"entry {e} outside the ({m},{n}) alphabet")
@@ -256,7 +254,7 @@ def _fillings(shape: SkewShape, m: int, letters: int) -> tuple[tuple[int, ...], 
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard fillings of ``shape`` with entries in 1..max_entry,
     in lexicographic order of the row-major entry vector."""
-    max_entry = _nonnegative("max_entry", max_entry)
+    max_entry = _integer(max_entry, "max_entry", 0)
     return tuple(Tableau._build(shape, e) for e in _iter_fillings(shape, max_entry, max_entry))
 
 
@@ -266,7 +264,7 @@ def enumerate_glmn(shape: SkewShape, m: int, n: int) -> tuple[Tableau, ...]:
     For straight shapes this is nonempty exactly when the shape is an
     (m, n)-hook diagram.
     """
-    m, n = _nonnegative("m", m), _nonnegative("n", n)
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
     return tuple(
         Tableau._build(shape, tuple([e if e <= m else m - e for e in entries]))
         for entries in _iter_fillings(shape, m, m + n)

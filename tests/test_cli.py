@@ -279,6 +279,16 @@ def test_deeply_nested_json_is_exit_2(tmp_path):
     assert "nested too deeply" in proc.stderr
 
 
+def test_deeply_nested_json_is_exit_2_in_process(capsys, tmp_path):
+    # the text is written as it is: json.dumps of so deep a list recurses too
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "map", "omega", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: JSON nested too deeply" in err
+
+
 def test_picture_search_is_not_bounded_by_the_recursion_limit():
     # 1100 cells is deeper than Python's default recursion limit of 1000
     proc = subprocess.run(
@@ -330,6 +340,9 @@ ROW2_IDENTITY = {"domain": ROW2, "codomain": ROW2, "map": [[[1, 1], [1, 1]], [[1
         ("map phihat --input FILE", {"shape": {"outer": [2, 1], "inner": []}, "rows": [[1, 2], [1]]},
          "companion_tableau input is not a two-family LR member"),
         ("map phihat --input FILE", {"shape": {"outer": [2], "inner": []}, "rows": [[1, 2]]},
+         "companion_tableau input is not a two-family LR member"),
+        # a content of (0, 2) is no partition, so the reading is no lattice word
+        ("map phihat --input FILE", {"shape": {"outer": [2], "inner": []}, "rows": [[2, 2]]},
          "companion_tableau input is not a two-family LR member"),
         # no shape has at most -1 rows; the bound is refused before any check runs
         ("verify decomposition-glr --max-size 2 --r -1", None, "max_rows must be nonnegative"),

@@ -54,10 +54,9 @@ def test_operator_spot_values():
 def test_operator_validation():
     with pytest.raises(ValueError):
         lower((0, 1), 1)
-    with pytest.raises(ValueError, match="operator index"):
-        lower((1,), 0)
-    with pytest.raises(ValueError):
-        raise_((1,), 0)
+    for op in (lower, raise_):
+        with pytest.raises(ValueError, match="operator index must be at least 1"):
+            op((1,), 0)
     # the index is an integer: a float or a string is refused, not flipped in as a letter
     for op, word, i in ((raise_, (2,), 1.0), (lower, (1,), 1.0), (lower, (1,), "1")):
         with pytest.raises(ValueError, match="expected integers"):
@@ -115,6 +114,9 @@ def test_glr_decomposition_small():
 def test_glr_decomposition_rejects_tall_shapes():
     with pytest.raises(ValueError):
         verify_decomposition_glr((1, 1, 1), (1,), 2)
+    # the row bound is a count, not compared as it comes
+    with pytest.raises(ValueError, match="expected integers"):
+        verify_decomposition_glr((1,), (1,), 2.5)
 
 
 @settings(max_examples=20)

@@ -87,6 +87,10 @@ def test_skew_shape_cells_row_major():
     assert (1, 1) not in s
     assert (2, 1) in s
     assert (3, 1) not in s
+    # anything that is not a pair of integers is no cell; int-likes are
+    for cell in ((1.5, 1), (2, 1.0), ("a", 1), (2, 1, 1), (2,), 5, None):
+        assert cell not in s
+    assert (True, 2) in s
 
 
 @given(sts.skew_shapes(max_size=8))
@@ -202,6 +206,9 @@ def test_partition_counts():
         pytest.param(lambda: partitions_of(2.5), "expected integers", id="partitions_of-size"),
         pytest.param(lambda: partitions_up_to(2.5), "expected integers", id="partitions_up_to-size"),
         pytest.param(lambda: hook_partitions_up_to(2.5, 1, 1), "expected integers", id="hook_partitions_up_to-size"),
+        # the alphabet sizes are checked once, before any partition, so also when there is none
+        pytest.param(lambda: hook_partitions_up_to(-1, 1.5, 1), "expected integers", id="hook_partitions_up_to-m"),
+        pytest.param(lambda: hook_partitions_up_to(-1, 1, -1), "n must be nonnegative", id="hook_partitions_up_to-n"),
     ],
 )
 def test_partitions_refuse_a_negative_bound(call, named):

@@ -312,6 +312,9 @@ def test_order_must_be_admissible():
     # also when the sizes of the triple do not add up
     with pytest.raises(ValueError):
         glmn_lr_tableaux((), (1,), (2, 2), order=wrong)
+    # a spec's name is not an order: specs are resolved by sweeps.resolve_order
+    with pytest.raises(ValueError, match="order is not admissible on the shape"):
+        glr_lr_tableaux(s, (), (2, 2), order="ME")
 
 
 def test_picture_to_tableau_on_the_small_example():

@@ -136,6 +136,13 @@ def test_order_shape_mismatch_raises():
         is_admissible_picture(EXAMPLE, middle_eastern(DOM), middle_eastern(DOM))
     with pytest.raises(ValueError):
         enumerate_pictures(DOM, COD, middle_eastern(DOM), middle_eastern(DOM))
+    # a value that is no order is refused as a mismatched one is
+    with pytest.raises(ValueError, match="a is not an admissible order on the codomain"):
+        enumerate_pictures(DOM, COD, None, None)
+    with pytest.raises(ValueError, match="a_prime is not an admissible order on the domain"):
+        enumerate_pictures(DOM, COD, middle_eastern(COD), None)
+    with pytest.raises(ValueError, match="orders do not match"):
+        is_admissible_picture(EXAMPLE, middle_eastern(COD), "ME")
 
 
 def test_enumerate_pictures_counts():

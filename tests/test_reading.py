@@ -116,6 +116,9 @@ def test_is_admissible():
     # wrong cell set
     assert not is_admissible(middle_eastern(s), SkewShape((2, 1)))
     assert not is_admissible(middle_eastern(SkewShape((2, 1))), s)
+    # a value that is no order at all, a spec's name included
+    assert not is_admissible(None, s)
+    assert not is_admissible("ME", s)
 
 
 def test_order_accepts_exactly_the_admissible_sequences():
@@ -218,6 +221,8 @@ def test_reading_rejects_mismatched_order():
     t = from_rows([[1, 2]])
     with pytest.raises(ValueError):
         reading(t, middle_eastern(SkewShape((3,))))
+    with pytest.raises(ValueError, match="order does not cover"):
+        reading(t, None)
 
 
 def _layout(order):

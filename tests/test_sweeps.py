@@ -71,6 +71,10 @@ def test_straight_triples_small():
     assert ((1,), (1,), (1, 1)) in triples
     for y, w, z in triples:
         assert sum(y) + sum(w) == sum(z) <= 2
+    # a size is an integer; a negative one builds nothing (the CLI's "nothing to check")
+    with pytest.raises(ValueError, match="expected integers"):
+        sweeps.straight_triples(2.5)
+    assert sweeps.straight_triples(-1) == []
 
 
 def test_skew_w_triples_small():
@@ -80,6 +84,14 @@ def test_skew_w_triples_small():
     for y, w, z in triples:
         assert sum(y) + w.size == sum(z) <= 3
         assert 0 < w.size <= 2
+    # every bound is an integer, and a box side is nonnegative rather than an empty sweep
+    for args in ((2, 2, 2.5, 3), (2, 2, 2, 3.0)):
+        with pytest.raises(ValueError, match="expected integers"):
+            sweeps.skew_w_triples(*args)
+    with pytest.raises(ValueError, match="box_rows must be nonnegative"):
+        sweeps.skew_w_triples(-1, 2, 2, 3)
+    with pytest.raises(ValueError, match="box_cols must be nonnegative"):
+        sweeps.skew_w_triples(2, -1, 2, 3)
 
 
 def test_check_triple_on_the_worked_example():
@@ -227,9 +239,10 @@ def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
     assert started == [2, 3, 2]
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, "2", 2.5])
 def test_run_sweep_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValueError):
+    # a worker count is an integer, at least 1
+    with pytest.raises(ValueError, match="jobs must be at least 1|expected integers"):
         sweeps.run_sweep([((), (), ())], jobs=jobs)
 
 

@@ -33,8 +33,11 @@ def test_tableau_rejects_non_integral_entries():
 
 def test_bar_and_entry_key():
     assert bar(2) == -2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="letter index must be at least 1"):
         bar(0)
+    # a letter index is an integer, not negated as it comes
+    with pytest.raises(ValueError, match="expected integers"):
+        bar(1.5)
     # 1 < 2 < bar(1) < bar(2)
     keys = [entry_key(e) for e in (1, 2, -1, -2)]
     assert keys == sorted(keys)
@@ -65,6 +68,11 @@ def test_entry_rejects_cells_outside_the_shape():
     assert t.shape == SkewShape((2, 1), (1,))
     with pytest.raises(ValueError):
         t.entry(1, 1)
+    # a cell is a pair of integers: one that is not lies outside every shape
+    t = from_rows([[1, 2], [2]])
+    for i, j in ((1, 1.0), (1.5, 1), ("1", 1)):
+        with pytest.raises(ValueError, match="is not a cell of"):
+            t.entry(i, j)
 
 
 def test_tableau_rejects_bad_rows():
@@ -178,7 +186,7 @@ def test_p_index_on_worked_example():
 
 def test_p_index_rejects_cells_outside_the_shape():
     t = from_rows([[1, 2], [3]])
-    for cell in ((5, 5), (2, 2), (0, 1)):
+    for cell in ((5, 5), (2, 2), (0, 1), (1.0, 1), (1, "1"), (1, 1, 1), 5):
         with pytest.raises(ValueError):
             p_index(t, cell)
 
