@@ -55,14 +55,6 @@ def _parse_partition(text: str):
         raise InputError(f"bad partition {text!r}: {e}") from None
 
 
-def positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def _parse_shape(text: str) -> SkewShape:
     outer, _, inner = text.partition("/")
     try:
@@ -164,8 +156,9 @@ def _cmd_map(args) -> int:
         q = serialize.tableau_from_obj(obj)
         _check_flag("y", args.y, q.shape.inner)
         _check_flag("z", args.z, q.shape.outer)
+        t = companion_tableau(q, verify=True)  # refuses a non-member, a barred one too, before content(q)
         _check_flag("w", args.w, content(q))
-        _write(serialize.tableau_lines([companion_tableau(q, verify=True)]))
+        _write(serialize.tableau_lines([t]))
     else:
         p = serialize.picture_from_obj(obj)
         _write(serialize.picture_lines([omega(p)]))
@@ -257,7 +250,7 @@ _INT = {"type": int, "required": True}
 _SEED = {"type": int, "default": 0}
 _TWO = {"type": int, "default": 2}  # --m and --n of the verify modes that take them
 _INPUT = {"required": True, "help": "JSON file, or - for stdin"}
-_JOBS = {"type": positive_int, "default": 1}
+_JOBS = {"type": int, "default": 1}  # run_sweep refuses a count below 1
 _SPECS = "comma list of ME | FE | seed:<n>"
 
 # Each command: its help, its handler, and either its options or the dest

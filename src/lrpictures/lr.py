@@ -25,7 +25,7 @@ from .diagram import (
 )
 from .picture import Picture, is_admissible_picture, omega
 from .reading import AdmissibleOrder, _on, far_eastern, middle_eastern
-from .tableau import Tableau, _p_indices, content, is_semistandard
+from .tableau import Tableau, _has_barred, _p_indices, _plain, content, is_semistandard
 
 
 def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> AdmissibleOrder:
@@ -34,14 +34,10 @@ def _checked_order(shape: SkewShape, order: AdmissibleOrder | None) -> Admissibl
     return _on(order, shape, "order is not admissible on the shape")
 
 
-def _has_barred(t: Tableau) -> bool:
-    """A barred entry keeps ``t`` out of both LR families."""
-    return any(e < 0 for e in t.entries)
-
-
 def is_glr_lr_tableau(t: Tableau, y, z, order: AdmissibleOrder | None = None) -> bool:
     """Membership in the classical family: semistandard, and the reading word
-    grows ``y`` into ``z`` through valid diagrams at every step."""
+    grows ``y`` into ``z`` through valid diagrams at every step. A barred
+    entry keeps ``t`` out of both LR families."""
     y, z = as_partition(y), as_partition(z)
     order = _checked_order(t.shape, order)
     if _has_barred(t) or not is_semistandard(t):
@@ -209,11 +205,8 @@ def tableau_to_picture(t: Tableau, base=(), verify: bool = False) -> Picture:
     recovered by replaying the reading word. Inverse of picture_to_tableau on
     the LR families.
     """
-    base = as_partition(base)
-    word = middle_eastern(t.shape)._reader(t.entries)
-    if any(v < 1 for v in word):
-        raise ValueError("tableau_to_picture expects plain (unbarred) entries")
-    outer = _add_boxes(base, word)
+    base, t = as_partition(base), _plain(t, "tableau_to_picture")
+    outer = _add_boxes(base, middle_eastern(t.shape)._reader(t.entries))
     if outer is None:
         raise ValueError("reading word does not grow the base into a partition")
     # letter e's cells take distinct p-indices 1..(count of e), as
@@ -240,8 +233,9 @@ def companion_tableau(q: Tableau, verify: bool = False) -> Tableau:
     map runs, and the output a classical one.
     """
     if verify:
-        c = content(q)  # a content that is no partition has no lattice reading
-        if any(map(lt, c, c[1:])) or not is_glmn_lr_tableau(q, q.shape.inner, c, q.shape.outer):
+        # a barred entry has no content; a content that is no partition has no lattice reading
+        c = None if _has_barred(q) else content(q)
+        if c is None or any(map(lt, c, c[1:])) or not is_glmn_lr_tableau(q, q.shape.inner, c, q.shape.outer):
             raise ValueError("companion_tableau input is not a two-family LR member")
     t = picture_to_tableau(omega(tableau_to_picture(q)))
     if verify and not is_glr_lr_tableau(t, q.shape.inner, q.shape.outer):

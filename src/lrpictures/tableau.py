@@ -5,6 +5,12 @@ shape's cells; its rows are sliced from that tuple when read. Entries are
 nonzero ints: ``k`` is the plain letter k, ``-k`` is the barred letter. The
 two-family alphabet is totally ordered as ``1 < ... < m < -1 < ... < -n``
 (all barred letters above all plain ones).
+
+The classical calls take plain letters only. ``_has_barred`` is the one
+test for a barred entry, and ``_plain`` the one refusal of it: the calls that
+cannot read a barred letter (``is_semistandard``, ``content`` and
+``lr.tableau_to_picture``) raise its ValueError naming themselves, while the
+LR membership tests answer False.
 """
 
 from __future__ import annotations
@@ -18,13 +24,6 @@ from .diagram import Cell, SkewShape, _integer, _integers, as_partition
 def bar(k: int) -> int:
     """The barred letter over k, a positive integer."""
     return -_integer(k, "letter index", 1)
-
-
-def entry_key(e: int):
-    """Sort key realizing 1 < ... < m < bar(1) < ... < bar(n)."""
-    if e == 0:
-        raise ValueError("0 is not a tableau entry")
-    return (1, -e) if e < 0 else (0, e)
 
 
 def entry_str(e: int, unicode: bool = False) -> str:
@@ -134,11 +133,22 @@ def _respects_bounds(t: Tableau, m: int) -> bool:
     return True
 
 
+def _has_barred(t: Tableau) -> bool:
+    """True when ``t`` holds a barred entry, from one pass over its entries."""
+    return any(e < 0 for e in t.entries)
+
+
+def _plain(t: Tableau, caller: str) -> Tableau:
+    """``t``, or ValueError "<caller> expects plain (unbarred) entries" when it
+    holds a barred entry."""
+    if _has_barred(t):
+        raise ValueError(f"{caller} expects plain (unbarred) entries")
+    return t
+
+
 def is_semistandard(t: Tableau) -> bool:
     """Rows weakly increase, columns strictly increase. Entries must be plain letters."""
-    if any(e < 0 for e in t.entries):
-        raise ValueError("is_semistandard expects plain (unbarred) entries")
-    return _respects_bounds(t, max(t.entries, default=0))
+    return _respects_bounds(_plain(t, "is_semistandard"), max(t.entries, default=0))
 
 
 def is_glmn_semistandard(t: Tableau, m: int, n: int) -> bool:
@@ -161,9 +171,7 @@ def _letter_counts(letters, top: int) -> tuple[int, ...]:
 
 def content(t: Tableau) -> tuple[int, ...]:
     """Counts of the letters 1..max, as a tuple. Entries must be plain letters."""
-    if any(e < 0 for e in t.entries):
-        raise ValueError("content expects plain (unbarred) entries")
-    return _letter_counts(t.entries, max(t.entries, default=0))
+    return _letter_counts(_plain(t, "content").entries, max(t.entries, default=0))
 
 
 def glmn_weight(t: Tableau, m: int, n: int) -> tuple[int, ...]:

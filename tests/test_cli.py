@@ -349,6 +349,11 @@ ROW2_IDENTITY = {"domain": ROW2, "codomain": ROW2, "map": [[[1, 1], [1, 1]], [[1
         # a seed and its negative draw alike, so each list names one order twice
         ("verify order-independence --max-size 3 --orders seed:3,seed:-3", None, "two distinct order specs"),
         ("verify order-independence --max-size 3 --seed 5 --orders seed:-10,seed:0", None, "two distinct order specs"),
+        # a barred entry fails the membership check, which runs before content(q) and before --w is read
+        ("map phihat --input FILE", {"shape": {"outer": [1], "inner": []}, "rows": [[-1]]},
+         "companion_tableau input is not a two-family LR member"),
+        ("map phihat --w 1 --input FILE", {"shape": {"outer": [1], "inner": []}, "rows": [[-1]]},
+         "companion_tableau input is not a two-family LR member"),
     ],
 )
 def test_inputs_the_library_refuses_are_exit_2(capsys, tmp_path, argv, given, named):
@@ -402,7 +407,7 @@ def test_jobs_below_one_is_exit_2(capsys, jobs):
         code, out, err = run(capsys, "verify", what, "--max-size", "2", "--jobs", jobs)
         assert code == 2
         assert out == ""
-        assert "--jobs" in err
+        assert "jobs must be at least 1" in err
 
 
 def test_empty_orders_list_is_exit_2(capsys):

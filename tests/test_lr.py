@@ -36,7 +36,7 @@ from lrpictures.lr import (
 from lrpictures.picture import Picture, enumerate_pictures, omega
 from lrpictures.reading import far_eastern, middle_eastern, random_admissible_order
 from lrpictures.sweeps import resolve_order, skew_w_triples, straight_triples
-from lrpictures.tableau import Tableau, _p_indices, from_rows, p_index
+from lrpictures.tableau import Tableau, _p_indices, content, from_rows, is_semistandard, p_index
 
 
 # One triple worked end to end: y = (5,2,1), w = (3,2,2,1), z = (6,4,2,2,2).
@@ -539,6 +539,18 @@ def test_membership_of_a_tableau_with_a_barred_entry():
     assert not is_glr_lr_tableau(t, (), (2,))
     assert not is_glmn_lr_tableau(t, (), (2,), (2,))
     assert not is_glmn_lr_tableau(from_rows([[-1]], inner=(1,)), (1,), (1,), (2,))
+
+
+def test_barred_entries_at_every_classical_entry_point():
+    # the calls that cannot read a barred letter refuse it, each under its own
+    # name (the membership tests answer False, as above), and companion_tableau's
+    # check names the membership it tests, not the content it reads on the way
+    t = from_rows([[1, -1]])
+    for call in (is_semistandard, content, tableau_to_picture):
+        with pytest.raises(ValueError, match=f"^{call.__name__} expects plain \\(unbarred\\) entries$"):
+            call(t)
+    with pytest.raises(ValueError, match="companion_tableau input is not a two-family LR member"):
+        companion_tableau(t, verify=True)
 
 
 def test_determinant_oracles_count_fillings():
