@@ -8,9 +8,9 @@ command only. Any other option is a usage error, refused before any output. All
 mathematical output goes to stdout as JSON (one object per line for
 enumerations and sweeps); identical inputs produce byte-identical output.
 Every command writes through one writer, ``_write``: the first line on its
-own, so it leaves at once, and the rest in batches of 512 lines, one write
-each. The decomposition sweeps compute each line as they go, so their lines
-wait for their batch too.
+own and flushed, so it leaves at once, and the rest in batches of 512 lines,
+one write each. The decomposition sweeps compute each line as they go, so
+their lines wait for their batch too.
 
 Order specs are ME (the default), FE, seed:<n>, or @file.json holding an array
 of cells; seed:<n> draws under the seed |--seed + n|, so seed:3 and seed:-3 are
@@ -89,10 +89,12 @@ _BATCH = 512  # lines per write after the first
 
 def _write(lines):
     """Write ``lines`` (each ending in a newline) to stdout: the first on its
-    own, then the rest joined in batches of ``_BATCH``, one write per batch."""
+    own and flushed, then the rest joined in batches of ``_BATCH``, one write
+    per batch."""
     lines = iter(lines)
     for first in lines:
         sys.stdout.write(first)
+        sys.stdout.flush()
         break
     while batch := "".join(islice(lines, _BATCH)):
         sys.stdout.write(batch)
@@ -182,13 +184,19 @@ def _cmd_render(args) -> int:
 
 
 def _sweep_units(args, specs):
-    """One unit per triple: its line under each order spec, and whether it passed."""
-    triples = sweeps.straight_triples(args.max_size)
-    if args.what == "coefficients":
-        hooks = set(hook_partitions_up_to(args.max_size, args.m, args.n))
-        triples = [t for t in triples if hooks.issuperset(t)]
+    """One unit per triple: its line under each order spec, and whether it passed.
+    The triples are a generator, so ``run_sweep`` refuses a bad request before
+    the walk or the hook filter runs."""
+
+    def triples():
+        walk = sweeps.straight_triples(args.max_size)
+        if args.what == "coefficients":
+            hooks = set(hook_partitions_up_to(args.max_size, args.m, args.n))
+            walk = (t for t in walk if hooks.issuperset(t))
+        yield from walk
+
     records = sweeps.run_sweep(
-        triples, specs, seed=args.seed, roundtrips=args.what == "roundtrip",
+        triples(), specs, seed=args.seed, roundtrips=args.what == "roundtrip",
         identity=args.what == "coefficients", pictures=args.what != "order-independence", jobs=args.jobs,
     )
     for rec in records:

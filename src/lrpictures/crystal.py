@@ -17,11 +17,11 @@ from operator import add
 from .diagram import (
     Partition,
     SkewShape,
+    _hook,
     _integer,
     _require_hooks,
     _skew,
     as_partition,
-    is_hook,
     partition_contains,
     partitions_of,
 )
@@ -121,7 +121,7 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     y, w, r = as_partition(y), as_partition(w), _integer(r, "r", 0)
     if len(y) > r or len(w) > r:
         raise ValueError("shapes must have at most r rows")
-    sy, sw = SkewShape(y), SkewShape(w)
+    sy, sw = _skew(y, ()), _skew(w, ())
     ceiling = (sum(y) + sw.size,) * r
 
     grown_me, grown_fe = (
@@ -135,7 +135,7 @@ def verify_decomposition_glr(y, w, r: int) -> DecompositionReport:
     from_highest = Counter(weight(word) for word in pairs if is_highest_weight(word))
 
     lhs_card = len(s_words) * len(t_words)
-    rhs_card = sum(mult * len(_fillings(SkewShape(shape), r, r)) for shape, mult in grown_me.items())
+    rhs_card = sum(mult * len(_fillings(_skew(shape, ()), r, r)) for shape, mult in grown_me.items())
     passed = grown_me == grown_fe == from_highest and lhs_card == rhs_card
     return DecompositionReport(lhs_card, rhs_card, grown_me, passed)
 
@@ -161,9 +161,9 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     every ``w``.
     """
     y, w = _require_hooks(m, n, y=y, w=w)
-    ww = _glmn_weights(SkewShape(w), m, n)
+    ww = _glmn_weights(_skew(w, ()), m, n)
     lhs: Counter = Counter()
-    for u, a in _glmn_weights(SkewShape(y), m, n):
+    for u, a in _glmn_weights(_skew(y, ()), m, n):
         for v, b in ww:
             lhs[tuple(map(add, u, v))] += a * b
 
@@ -171,14 +171,14 @@ def verify_decomposition_glmn(y, w, m: int, n: int) -> DecompositionReport:
     rhs: Counter = Counter()
     per_shape: dict[Partition, int] = {}
     for z in partitions_of(total):
-        if not (partition_contains(z, y) and is_hook(z, m, n)):  # the LR set is empty unless y fits in z
+        if not (partition_contains(z, y) and _hook(z, m, n)):  # the LR set is empty unless y fits in z
             continue
         zy = _skew(z, y)
         mult = len(lr_families(zy, (), middle_eastern(zy)).get(w, ()))
         if mult == 0:
             continue
         per_shape[z] = mult
-        for vec, k in _glmn_weights(SkewShape(z), m, n):
+        for vec, k in _glmn_weights(_skew(z, ()), m, n):
             rhs[vec] += mult * k
     lhs_card = sum(lhs.values())
     rhs_card = sum(rhs.values())

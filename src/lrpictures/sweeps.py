@@ -234,14 +234,17 @@ def run_sweep(
     partition or a skew shape; the triples are sorted as their canonical
     values, so the records come out in the same order however they are spelled.
 
-    ``jobs`` caps the worker processes; no more start than there are CPUs or
-    chunks of work, and with one the sweep runs in this process."""
+    ``jobs`` caps the worker processes; no more start than there are CPUs this
+    process may run on or chunks of work, and with one the sweep runs in this
+    process."""
     _refuse_bad_request(specs, roundtrips, pictures)
     jobs = _integer(jobs, "jobs", 1)
     rest = (tuple(specs), seed, roundtrips, identity, pictures)
     tasks = [(as_partition(y), _shape_of(w), as_partition(z), *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))
-    workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _CHUNK))
+    # the affinity set, where the platform has one: a pinned run narrows it, not os.cpu_count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, cpus, -(-len(tasks) // _CHUNK))
     if workers <= 1:
         return [_worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing, slow to start

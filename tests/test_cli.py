@@ -166,7 +166,7 @@ def test_verify_is_deterministic(capsys):
 
 def test_verify_parallel_matches_serial(capsys, monkeypatch):
     # 101 triples are two chunks, so two workers start on any host
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _, out1, _ = run(capsys, "verify", "coefficients", "--max-size", "4")
     _, out2, _ = run(capsys, "verify", "coefficients", "--max-size", "4", "--jobs", "2")
     assert out1 == out2
@@ -401,8 +401,13 @@ def test_vacuous_sweep_is_exit_2(capsys, what):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_exit_2(capsys, jobs):
-    # a worker count below 1 is bad input, whatever the sweep that takes --jobs
+def test_jobs_below_one_is_exit_2(capsys, monkeypatch, jobs):
+    # a worker count below 1 is bad input, whatever the sweep that takes --jobs,
+    # refused before the walk over the triples or the hook filter runs
+    def walk(max_z):
+        raise AssertionError("the triples were walked before --jobs was checked")
+
+    monkeypatch.setattr(sweeps, "straight_triples", walk)
     for what in ("roundtrip", "coefficients"):
         code, out, err = run(capsys, "verify", what, "--max-size", "2", "--jobs", jobs)
         assert code == 2
@@ -502,8 +507,9 @@ def test_refused_command_lines_write_nothing(capsys, argv, named):
     assert named in err
 
 
-# sha256 of every -h page at COLUMNS=80, as argparse lays it out on Python 3.11
-# (the version CI runs): the program's, each command's and each leaf's
+# sha256 of every -h page at COLUMNS=80, as argparse lays it out on Python 3.11:
+# the program's, each command's and each leaf's. Each Python whose argparse lays
+# a page out otherwise gets its own pin for that page, below
 HELP_PAGES = {
     "": "ae98d8ec0c812a2eff6415a326f6169a79ba793c24a4326697a2d5b72ffbba56",
     "coeff": "5d3c285a2d019050fd4ffa00ceca0da2b25854c520a0f0335250af6f02e37aa5",
@@ -528,6 +534,8 @@ HELP_PAGES = {
     "verify decomposition-glr": "e24c84763b8ca9751e9fd624bdd7414309afc007a64e8d9f5b2cb713748eaec4",
     "verify decomposition-glmn": "51f8288698cc0bd5440a1897ca61f8561bec625bad2cd19155ac382e0e083760",
 }
+if sys.version_info >= (3, 13):  # the "..." of the usage stays on the line of the mode choices
+    HELP_PAGES["verify"] = "a3b7a963dda2173c3b0b27b3c92f0d23de724b59087e66880f3db5ba4e810ce7"
 
 
 @pytest.mark.parametrize("command", list(HELP_PAGES), ids=lambda c: c or "lrpictures")
@@ -637,13 +645,18 @@ def test_closed_stdout_is_not_a_failure():
 
 
 class WriteRecorder:
-    """A stand-in for ``sys.stdout`` that keeps each write."""
+    """A stand-in for ``sys.stdout`` that keeps each write, and for each flush
+    the number of writes before it."""
 
     def __init__(self):
         self.writes = []
+        self.flushed_after = []
 
     def write(self, text):
         self.writes.append(text)
+
+    def flush(self):
+        self.flushed_after.append(len(self.writes))
 
 
 B = cli._BATCH
@@ -660,6 +673,15 @@ def test_write_sends_the_first_line_alone_then_batches(count, writes, monkeypatc
     assert "".join(out.writes) == "".join(given)
     assert out.writes[:1] == given[:1]
     assert len(out.writes) == writes
+
+
+def test_write_flushes_the_first_line_on_its_own(monkeypatch):
+    # the first line leaves at once, however stdout is buffered; the rest waits
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._write(iter(["a\n", "b\n", "c\n"]))
+    assert out.writes == ["a\n", "b\nc\n"]
+    assert out.flushed_after == [1]
 
 
 def test_every_command_writes_through_one_writer(monkeypatch, tmp_path):

@@ -178,7 +178,7 @@ def test_record_ok_spots_bad_counts():
 
 def test_run_sweep_deterministic_and_parallel(monkeypatch):
     # 101 triples are two chunks, so two workers start on any host
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     triples = sweeps.straight_triples(4)
     serial = sweeps.run_sweep(triples, specs=("ME",))
     again = sweeps.run_sweep(list(reversed(triples)), specs=("ME",))
@@ -224,7 +224,7 @@ def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
             return []
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     one_chunk = sweeps.straight_triples(3)  # 33 triples
     assert sweeps.run_sweep(one_chunk, specs=("ME",), jobs=1000) == sweeps.run_sweep(
         one_chunk, specs=("ME",)
@@ -234,7 +234,14 @@ def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch):
     sweeps.run_sweep(sweeps.straight_triples(5), specs=("ME",), jobs=1000)  # 5 chunks
     sweeps.run_sweep(sweeps.straight_triples(5), specs=("ME",), jobs=2)
     assert started == [2, 3, 2]
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)  # unknown: one CPU
+    # pinned to one of the host's CPUs: no pool, however many the host has
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0})
+    sweeps.run_sweep(sweeps.straight_triples(4), specs=("ME",), jobs=1000)
+    assert started == [2, 3, 2]
+    # no affinity on this platform, and the CPU count unknown: one CPU
+    monkeypatch.delattr(sweeps.os, "sched_getaffinity")
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)
     sweeps.run_sweep(sweeps.straight_triples(4), specs=("ME",), jobs=1000)
     assert started == [2, 3, 2]
 
