@@ -128,14 +128,24 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
       inverse respects assignment order; by convexity, that holds once c's
       left and upper neighbours are taken, which an int bitset tracks.
 
+    The loop works out the window of position i + 1, ranks lo..hi-1, before
+    it moves there, and tries the next rank at i instead when the window has
+    no rank that qualifies; so it never steps onto a position with nothing
+    to try.  The last position is forced: once n - 1 ranks are placed, one
+    rank is left, and it qualifies, as every other rank, its left and upper
+    neighbours among them, is taken.  So only that rank's place in the last
+    window is tested, and the map is emitted at once, with no step down.
+    With fewer than two cells there is nothing to choose: the one map is
+    the only bijection, and both orders respect it.
+
     As it places c at i, the loop stores the codomain cell in the list of
     images by domain position, ``img[i] = a.cells[c]``, or, turned,
     ``img[c] = a.cells[i]``; a path from the root sets every slot, so at a
     leaf the list is whole and ``a_prime._writer`` puts it in row-major order.
     """
     n = len(a)
-    if n == 0:
-        return [()]
+    if n < 2:  # none or one cell: the one map, whatever the orders
+        return [a_prime._writer(a.cells)]
     cod, write = a.cells, a_prime._writer
     positions, ranks = (a, a_prime) if turned else (a_prime, a)
     up, right = positions._up, positions._right
@@ -148,7 +158,7 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
     ready = [0] * n
     ready[0] = free[0] = roots
     out = []
-    last = n - 1
+    last, full = n - 1, (1 << n) - 1
     i = 0
     while i >= 0:
         left = free[i]
@@ -157,26 +167,36 @@ def _bijections(a: AdmissibleOrder, a_prime: AdmissibleOrder, turned: bool) -> l
             continue
         bit = left & -left
         free[i] = left ^ bit
-        c = bit.bit_length() - 1
+        perm[i] = c = bit.bit_length() - 1
         if turned:
             img[c] = cod[i]
         else:
             img[i] = cod[c]
-        if i == last:
-            out.append(write(img))
-            continue
-        perm[i] = c
         now = placed[i] | bit
+        j = i + 1
+        lo = perm[up[j]] + 1 if up[j] >= 0 else 0  # j's window: ranks lo..hi-1
+        hi = perm[right[j]] if right[j] >= 0 else n
+        if j == last:  # one rank is left, and it qualifies, as every other rank is taken
+            r = (full ^ now).bit_length() - 1
+            if lo <= r < hi:
+                if turned:
+                    img[r] = cod[j]
+                else:
+                    img[j] = cod[r]
+                out.append(write(img))
+            continue
+        if lo >= hi:
+            continue
         avail = ready[i] ^ bit
         for d, other in succs[c]:
             if other < 0 or now >> other & 1:
                 avail |= 1 << d
-        i += 1
-        placed[i] = now
-        ready[i] = avail
-        lo = perm[up[i]] + 1 if up[i] >= 0 else 0
-        hi = perm[right[i]] if right[i] >= 0 else n
-        free[i] = avail & ((1 << hi) - (1 << lo)) if lo < hi else 0  # ranks lo..hi-1
+        window = avail & ((1 << hi) - (1 << lo))
+        if window:
+            i = j
+            placed[i] = now
+            ready[i] = avail
+            free[i] = window
     return out
 
 
@@ -193,7 +213,9 @@ def enumerate_pictures(
     completion of a pruned branch survives.  A branch dies only at a cell
     whose upper or right neighbour narrows its rank window: some untaken rank
     always has its left and upper neighbours taken, so a window nothing
-    narrows is never empty.  The other shape's neighbours bound no window.
+    narrows is never empty.  At the last cell one rank is left, and it
+    qualifies, so that cell costs one test of its window and no step.  The
+    other shape's neighbours bound no window.
     So the search runs from whichever shape has fewer neighbour pairs
     (``_pairs``), from ``x`` on a tie; run from ``y`` (turned), it finds the
     inverses of the pictures.  Onto an antichain, which has no pairs, that
@@ -213,4 +235,5 @@ def enumerate_pictures(
         return ()
     found = _bijections(a, a_prime, a._pairs < a_prime._pairs)
     found.sort()  # cell tuples order as their row-major indices
-    return tuple([Picture._build(x, y, images) for images in found])
+    build = Picture._build
+    return tuple([build(x, y, images) for images in found])

@@ -43,6 +43,29 @@ def refuse_three_cell_members(monkeypatch):
     monkeypatch.setattr(sweeps, "tableau_to_picture", refusing)
 
 
+@pytest.fixture
+def swap_one_member_under_fe(monkeypatch):
+    """A switch that makes the sweeps' ``lr_families``, under FE on a shape
+    where FE is not ME, swap the last member of every group for a tableau of
+    9s: the family then differs from ME's in one member and has as many."""
+    from lrpictures import sweeps
+    from lrpictures.reading import far_eastern, middle_eastern
+    from lrpictures.tableau import Tableau
+
+    real = sweeps.lr_families
+
+    def swapped(shape, start, order):
+        families = real(shape, start, order)
+        if order is not far_eastern(shape) or order is middle_eastern(shape):
+            return families
+        return {
+            z: ts[:-1] + (Tableau(shape, [[9] * len(r) for r in ts[-1].rows]),) if ts else ts
+            for z, ts in families.items()
+        }
+
+    return lambda: monkeypatch.setattr(sweeps, "lr_families", swapped)
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _criteria.lines:
         return

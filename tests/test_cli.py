@@ -201,6 +201,32 @@ def test_verify_exit_1_when_a_member_maps_nowhere(capsys, refuse_three_cell_memb
     assert '"roundtrip_ok":false' in out
 
 
+def test_verify_exit_1_when_only_the_identity_check_fails(capsys, monkeypatch):
+    # every count agrees, so the membership test alone fails the triples
+    # that have members
+    monkeypatch.setattr(sweeps, "is_glmn_lr_tableau", lambda *args: False)
+    code, out, err = run(capsys, "verify", "coefficients", "--max-size", "3")
+    assert code == 1
+    records = lines(out)
+    assert all(rec["c"] == rec["n_super"] == rec["pictures"] for rec in records)
+    with_members = sum(rec["c"] > 0 for rec in records)
+    assert with_members and err.splitlines()[-1] == f"coefficients: {len(records) - with_members}/{len(records)} ok"
+
+
+def test_verify_order_independence_exit_1_when_one_order_differs(capsys, swap_one_member_under_fe):
+    # FE reads a family that differs from ME's in one member and has as many,
+    # so order_independent alone fails those triples
+    assert run(capsys, "verify", "order-independence", "--max-size", "5", "--orders", "ME,FE")[0] == 0
+    swap_one_member_under_fe()
+    code, out, err = run(capsys, "verify", "order-independence", "--max-size", "5", "--orders", "ME,FE")
+    assert code == 1
+    records = lines(out)
+    assert all(rec["c"] == rec["n_super"] for rec in records)
+    assert any(not rec["order_independent"] for rec in records)
+    passed, total = map(int, err.splitlines()[-1].split()[-2].split("/"))
+    assert passed < total
+
+
 def test_order_file_is_honored(capsys, tmp_path):
     path = tmp_path / "order.json"
     # far-eastern order on the column (1,1), written out by hand

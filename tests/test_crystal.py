@@ -183,6 +183,60 @@ def test_glmn_decomposition_searches_only_the_z_that_contain_y(monkeypatch):
     assert rep.per_shape == {z: len(glmn_lr_tableaux(y, w, z)) for z in hooks if glmn_lr_tableaux(y, w, z)}
 
 
+def test_glr_decomposition_fails_when_the_fe_route_differs(monkeypatch):
+    # W = (2,2) has FE != ME; under FE one summand loses a member, so the
+    # FE route alone disagrees: the ME route, the highest weights and both
+    # cardinalities are untouched
+    y, w, r = (1,), (2, 2), 3
+    sw = SkewShape(w)
+    assert far_eastern(sw) is not middle_eastern(sw)
+    real = crystal.lr_families
+
+    def one_short_under_fe(shape, start, order, ceiling=None):
+        families = real(shape, start, order, ceiling)
+        if order is not far_eastern(shape):
+            return families
+        return {**families, (3, 2): families[3, 2][:-1]}
+
+    rep = verify_decomposition_glr(y, w, r)
+    assert rep.passed and rep.per_shape[3, 2] == 1
+    monkeypatch.setattr(crystal, "lr_families", one_short_under_fe)
+    assert verify_decomposition_glr(y, w, r) == DecompositionReport(rep.lhs_card, rep.rhs_card, rep.per_shape, False)
+
+
+def test_glr_decomposition_fails_when_a_cardinality_differs(monkeypatch):
+    # the summand (2) counts one filling short, so rhs_card is one less; all
+    # three multiplicity routes read no filling of a summand and still agree
+    real = crystal._fillings
+
+    def one_short_on_a_row_of_two(shape, *args):
+        fillings = real(shape, *args)
+        return fillings[:-1] if shape == SkewShape((2,)) else fillings
+
+    rep = verify_decomposition_glr((1,), (1,), 2)
+    assert rep.passed and rep.lhs_card == rep.rhs_card == 4
+    monkeypatch.setattr(crystal, "_fillings", one_short_on_a_row_of_two)
+    assert verify_decomposition_glr((1,), (1,), 2) == DecompositionReport(4, 3, rep.per_shape, False)
+
+
+def test_glmn_decomposition_fails_when_a_weight_moves(monkeypatch):
+    # one filling of the summand (2) moves from its weight to another one:
+    # both sides keep their sizes, but their weight multisets differ
+    real = crystal._glmn_weights
+
+    def one_moved_on_a_row_of_two(shape, m, n):
+        weights = real(shape, m, n)
+        if shape != SkewShape((2,)):
+            return weights
+        (u, a), (v, b), *rest = weights
+        return ((u, a - 1), (v, b + 1), *rest)
+
+    rep = verify_decomposition_glmn((1,), (1,), 1, 1)
+    assert rep.passed and rep.lhs_card == rep.rhs_card == 4
+    monkeypatch.setattr(crystal, "_glmn_weights", one_moved_on_a_row_of_two)
+    assert verify_decomposition_glmn((1,), (1,), 1, 1) == DecompositionReport(4, 4, rep.per_shape, False)
+
+
 def test_decomposition_report_fields_equality_and_object_form():
     rep = verify_decomposition_glmn((1,), (1,), 1, 1)
     assert (rep.lhs_card, rep.rhs_card, rep.per_shape, rep.passed) == (4, 4, {(2,): 1, (1, 1): 1}, True)

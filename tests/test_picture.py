@@ -337,6 +337,8 @@ def test_pictures_of_empty_and_one_cell_shapes():
         for a, a_prime in ((middle_eastern(y), middle_eastern(x)), (far_eastern(y), far_eastern(x))):
             pics = enumerate_pictures(x, y, a, a_prime)
             assert len(pics) == (x.size == y.size)
+            if x.size == y.size:  # the search itself, from either side: the one empty map
+                assert _both_sides(a, a_prime) == ([()], [()])
             assert all(p.images == () and p.forward == p.backward == {} and omega(p) == p for p in pics)
     # one cell onto one cell, both directions: the one map, whatever the orders
     ones = [SkewShape((1,)), SkewShape((2,), (1,)), SkewShape((1, 1), (1,)), SkewShape((3, 2), (2, 2))]
@@ -345,6 +347,7 @@ def test_pictures_of_empty_and_one_cell_shapes():
             (u,), (v,) = x.cells(), y.cells()
             for make in (middle_eastern, far_eastern, lambda s: random_admissible_order(s, 3)):
                 (p,) = enumerate_pictures(x, y, make(y), make(x))
+                assert _both_sides(make(y), make(x)) == ([(v,)], [(v,)])
                 assert p.images == (v,) and p.forward == {u: v} and p.backward == {v: u}
                 assert p == Picture(x, y, {u: v}) and omega(p) == Picture(y, x, {v: u})
     x, y = SkewShape((1,)), SkewShape((2,), (1,))

@@ -176,6 +176,33 @@ def test_record_ok_spots_bad_counts():
     assert not sweeps.record_ok(broken)
 
 
+def test_a_failed_identity_check_alone_fails_the_record(monkeypatch):
+    # a membership test that refuses every member changes identity_ok and
+    # nothing else: every count agrees and every round trip passes, so the
+    # record fails on identity_ok alone
+    rec = sweeps.check_triple(*WORKED, specs=("ME", "FE"))
+    assert sweeps.record_ok(rec)
+    monkeypatch.setattr(sweeps, "is_glmn_lr_tableau", lambda *args: False)
+    refused = sweeps.check_triple(*WORKED, specs=("ME", "FE"))
+    assert refused == dict(rec, identity_ok=False)
+    assert not sweeps.record_ok(refused)
+
+
+def test_order_independence_fails_when_one_order_reads_another_family(swap_one_member_under_fe):
+    # W = (2,2) has FE != ME; its classical family over y = (1) into z = (3,2)
+    # has one member, which FE swaps for an outsider: the counts still agree,
+    # so order_independent alone fails the record, with two distinct families
+    # among the two orders
+    y, w, z = (1,), (2, 2), (3, 2)
+    assert far_eastern(SkewShape(w)) is not middle_eastern(SkewShape(w))
+    rec = sweeps.check_triple(y, w, z, specs=("ME", "FE"), roundtrips=False, pictures=False)
+    assert rec["order_independent"] and sweeps.record_ok(rec)
+    swap_one_member_under_fe()
+    swapped = sweeps.check_triple(y, w, z, specs=("ME", "FE"), roundtrips=False, pictures=False)
+    assert swapped == dict(rec, order_independent=False)
+    assert not sweeps.record_ok(swapped)
+
+
 def test_run_sweep_deterministic_and_parallel(monkeypatch):
     # 101 triples are two chunks, so two workers start on any host
     monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
