@@ -197,7 +197,7 @@ def _sweep_units(args, specs):
 
     records = sweeps.run_sweep(
         triples(), specs, seed=args.seed, roundtrips=args.what == "roundtrip",
-        identity=args.what == "coefficients", pictures=args.what != "order-independence", jobs=args.jobs,
+        identity=args.what == "coefficients", jobs=args.jobs,
     )
     for rec in records:
         w_obj = list(rec["w"][0])  # every CLI sweep runs straight triples: W is its outer shape

@@ -2,17 +2,17 @@
 
 These drivers back the ``verify`` subcommands and the acceptance tests. Each
 record covers one triple (y, W, z), W straight or skew, in both directions:
-both LR counts, both picture counts and both round-trips of the maps under
-every requested order spec, order-independence of the enumerated sets, and a
-membership check: every two-family LR tableau, in each order, has a reading
-that grows W.inner into W.outer. The orders are resolved once per (shape,
-specs, seed) into the distinct orders and each spec's index among them,
-shared by every triple on that shape. A family is read once per distinct
-order and the pictures W -> Z/Y are searched once per distinct order pair,
-however many specs name them; the pictures Z/Y -> W are their inverses. The
-families come from ``lr.lr_families`` with no ceiling: one search per (shape,
-start, order), cached, grows the start into every partition it can reach, so
-it serves every triple a sweep meets on it.
+both LR counts and both picture counts under every requested order spec,
+both round-trips of the maps where asked, order-independence of the
+enumerated sets, and a membership check: every two-family LR tableau, in
+each order, has a reading that grows W.inner into W.outer. The orders are
+resolved once per (shape, specs, seed) into the distinct orders and each
+spec's index among them, shared by every triple on that shape. A family is
+read once per distinct order and the pictures W -> Z/Y are searched once per
+distinct order pair, however many specs name them; the pictures Z/Y -> W are
+their inverses. The families come from ``lr.lr_families`` with no ceiling:
+one search per (shape, start, order), cached, grows the start into every
+partition it can reach, so it serves every triple a sweep meets on it.
 """
 
 from __future__ import annotations
@@ -119,12 +119,10 @@ def _roundtrip_pair(members, pictures, base, images: dict) -> bool:
     return {images[t] for t in members} == set(pictures)
 
 
-def _refuse_bad_request(specs, roundtrips: bool, pictures: bool) -> None:
-    """The checks both drivers make before any work."""
+def _refuse_bad_request(specs) -> None:
+    """The check both drivers make before any work."""
     if not specs:
         raise ValueError("at least one order spec is required")
-    if roundtrips and not pictures:
-        raise ValueError("round-trips are checked against the pictures: pass roundtrips=False with pictures=False")
 
 
 def _same_sets(families) -> bool:
@@ -140,7 +138,6 @@ def check_triple(
     seed: int = 0,
     roundtrips: bool = True,
     identity: bool = True,
-    pictures: bool = True,
 ) -> dict:
     """Run every per-triple verification; ``w`` may be a partition or a skew shape.
 
@@ -157,16 +154,16 @@ def check_triple(
     their group; one triple alone pays for every group. Once per distinct
     (order on W, order on Z/Y) pair, the pictures W -> Z/Y are searched, the
     pictures Z/Y -> W taken as their inverses (``omega``: the inverse of a
-    picture is a picture for the swapped pair), and both round-trips checked.
+    picture is a picture for the swapped pair), and with ``roundtrips`` both
+    round-trips checked; without, ``roundtrip_ok`` is None.
     Specs that resolve to equal orders (ME and FE on one row, say) get that
     pair's entry under their own names: every search and check is a pure
     function of its shapes, orders and members, so it is the entry each would
     make alone. Each member is mapped once per triple: neither map reads an
     order, so every pair's round-trip check (``_roundtrip_pair``) reads the
-    same images, which is the same check as mapping it again. The round-trips
-    need the pictures, so ``roundtrips`` without ``pictures`` is refused, as
-    are empty ``specs``."""
-    _refuse_bad_request(specs, roundtrips, pictures)
+    same images, which is the same check as mapping it again. Empty ``specs``
+    are refused."""
+    _refuse_bad_request(specs)
     y, z = as_partition(y), as_partition(z)
     zy = _nested(z, y)
     w_shape = _shape_of(w)
@@ -189,14 +186,12 @@ def check_triple(
     per_pair = {}
     b_images, lr_images = {}, {}
     for i, j in dict.fromkeys(pairs):
-        entry = {"pictures": None, "pictures_swapped": None, "roundtrip_ok": None}
-        if pictures:
-            pics = enumerate_pictures(w_shape, zy, orders_zy[j], orders_w[i])
-            entry["pictures"] = entry["pictures_swapped"] = len(pics)  # the inverses are as many
-            if roundtrips:
-                swapped = [omega(p) for p in pics]
-                ok = _roundtrip_pair(b_sets[i], pics, y, b_images)
-                entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[j], swapped, w_shape.inner, lr_images)
+        pics = enumerate_pictures(w_shape, zy, orders_zy[j], orders_w[i])
+        entry = {"pictures": len(pics), "pictures_swapped": len(pics), "roundtrip_ok": None}  # as many inverses
+        if roundtrips:
+            swapped = [omega(p) for p in pics]
+            ok = _roundtrip_pair(b_sets[i], pics, y, b_images)
+            entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[j], swapped, w_shape.inner, lr_images)
         per_pair[i, j] = entry
     per_order = [{"order": s, **per_pair[pair]} for s, pair in zip(specs, pairs)]
 
@@ -225,7 +220,6 @@ def run_sweep(
     seed: int = 0,
     roundtrips: bool = True,
     identity: bool = True,
-    pictures: bool = True,
     jobs: int = 1,
 ) -> list[dict]:
     """check_triple over every triple, in a canonical deterministic order.
@@ -237,9 +231,9 @@ def run_sweep(
     ``jobs`` caps the worker processes; no more start than there are CPUs this
     process may run on or chunks of work, and with one the sweep runs in this
     process."""
-    _refuse_bad_request(specs, roundtrips, pictures)
+    _refuse_bad_request(specs)
     jobs = _integer(jobs, "jobs", 1)
-    rest = (tuple(specs), seed, roundtrips, identity, pictures)
+    rest = (tuple(specs), seed, roundtrips, identity)
     tasks = [(as_partition(y), _shape_of(w), as_partition(z), *rest) for y, w, z in triples]
     tasks.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1].outer, t[1].inner))
     # the affinity set, where the platform has one: a pinned run narrows it, not os.cpu_count
@@ -257,8 +251,7 @@ def record_ok(rec: dict) -> bool:
     """Every count in the record agrees and every per-order check passed."""
     counts = {rec["c"], rec["n_super"]}
     for entry in rec["orders"]:
-        if entry["pictures"] is not None:
-            counts.add(entry["pictures"])
+        counts.add(entry["pictures"])
         if entry["roundtrip_ok"] is False:
             return False
     return len(counts) == 1 and rec["order_independent"] and rec["identity_ok"]

@@ -62,6 +62,14 @@ MUTATIONS = (
     ("check_triple drops the swapped round trip", SWEEPS,
      'entry["roundtrip_ok"] = ok and _roundtrip_pair(lr_sets[j], swapped, w_shape.inner, lr_images)',
      'entry["roundtrip_ok"] = ok', SWEEP_TESTS, None),
+    ("check_triple counts the classical family as the pictures", SWEEPS,
+     'entry = {"pictures": len(pics), "pictures_swapped": len(pics), "roundtrip_ok": None}',
+     'entry = {"pictures": len(b_sets[i]), "pictures_swapped": len(b_sets[i]), "roundtrip_ok": None}',
+     SWEEP_TESTS, None),
+    ("check_triple reads c from the two-family set", SWEEPS,
+     '"c": len(b_sets[0]),', '"c": len(lr_sets[0]),', SWEEP_TESTS, None),
+    ("check_triple reads n_super from the classical family", SWEEPS,
+     '"n_super": len(lr_sets[0]),', '"n_super": len(b_sets[0]),', SWEEP_TESTS, None),
     ("verify exits 0 on failures", CLI,
      "return 1 if failures else 0", "return 0", ("tests/test_cli.py",), None),
     ("verify passes a sweep of zero triples", CLI,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,19 @@ def test_verify_exit_1_when_only_the_identity_check_fails(capsys, monkeypatch):
     assert with_members and err.splitlines()[-1] == f"coefficients: {len(records) - with_members}/{len(records)} ok"
 
 
+def test_verify_coefficients_exit_1_when_a_picture_is_missing(capsys, monkeypatch):
+    # coefficients checks no round trip, so the picture count alone sees a
+    # picture search one short: every triple with members fails
+    real = sweeps.enumerate_pictures
+    monkeypatch.setattr(sweeps, "enumerate_pictures", lambda *args: real(*args)[1:])
+    code, out, err = run(capsys, "verify", "coefficients", "--max-size", "3")
+    assert code == 1
+    records = lines(out)
+    assert all(rec["c"] == rec["n_super"] == rec["pictures"] + 1 for rec in records if rec["c"])
+    with_members = sum(rec["c"] > 0 for rec in records)
+    assert with_members and err.splitlines()[-1] == f"coefficients: {len(records) - with_members}/{len(records)} ok"
+
+
 def test_verify_order_independence_exit_1_when_one_order_differs(capsys, swap_one_member_under_fe):
     # FE reads a family that differs from ME's in one member and has as many,
     # so order_independent alone fails those triples
@@ -225,6 +239,23 @@ def test_verify_order_independence_exit_1_when_one_order_differs(capsys, swap_on
     assert any(not rec["order_independent"] for rec in records)
     passed, total = map(int, err.splitlines()[-1].split()[-2].split("/"))
     assert passed < total
+
+
+@pytest.mark.parametrize(
+    "orders, fields",
+    [
+        ("ME,seed:\t3", ['"ME"', '"seed:\\t3"']),
+        ("seed:\u0663", ['"seed:\\u0663"']),  # an Arabic-Indic 3: the line escapes non-ASCII
+        ("seed:1_0", ['"seed:1_0"']),
+        ("seed: 3", ['"seed: 3"']),
+    ],
+)
+def test_a_sweep_line_echoes_its_order_spec_as_typed(capsys, orders, fields):
+    # parse_order_spec takes whatever int() takes after "seed:", and each
+    # line names its spec as typed, JSON-escaped: these are its exact bytes
+    code, out, _ = run(capsys, "verify", "roundtrip", "--max-size", "0", "--orders", orders)
+    assert code == 0
+    assert re.findall(r'"order":("(?:[^"\\]|\\.)*")', out) == fields
 
 
 def test_order_file_is_honored(capsys, tmp_path):

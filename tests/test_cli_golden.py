@@ -146,9 +146,10 @@ CASES = {
         "verify decomposition-glmn --max-size 4 --m 2 --n 1", None, 0,
         "16d704c35032aae7b92a4f32548191a843427586e742d0806c3a6aac0cec00dd",
     ),
+    # each line carries its order pair's picture count; roundtrip_ok is null
     "verify order-independence": (
         "verify order-independence --max-size 5", None, 0,
-        "b6ac2c166110fc34a9b9899aa1e4c264d4cbd5c3152a19b15f6c7c2bf9fa8306",
+        "701f2fe51c76bc379425f3fd5ce7790cb1b965bc5ce2b4c75a4c838d793a5c30",
     ),
     "verify coefficients, a (1,1) hook": (
         "verify coefficients --max-size 6 --m 1 --n 1", None, 0,

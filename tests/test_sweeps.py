@@ -124,10 +124,15 @@ def test_check_triple_skew_w():
 
 
 def test_check_triple_flags():
-    rec = sweeps.check_triple((1,), (1,), (2,), specs=("ME",), roundtrips=False, pictures=False)
-    assert rec["orders"][0]["pictures"] is None
-    assert rec["orders"][0]["roundtrip_ok"] is None
-    assert sweeps.record_ok(rec)
+    # every combination counts the pictures; without round trips roundtrip_ok
+    # is None, and without the membership test identity_ok is True
+    for roundtrips in (False, True):
+        for identity in (False, True):
+            rec = sweeps.check_triple(*WORKED, specs=("ME",), roundtrips=roundtrips, identity=identity)
+            (entry,) = rec["orders"]
+            assert rec["c"] == rec["n_super"] == entry["pictures"] == entry["pictures_swapped"] == 2
+            assert entry["roundtrip_ok"] is (True if roundtrips else None)
+            assert rec["identity_ok"] and sweeps.record_ok(rec)
 
 
 def test_check_triple_canonicalizes_once_and_refuses_as_skew_shape_does():
@@ -151,15 +156,6 @@ def test_run_sweep_sorts_triples_as_canonical_values():
     assert padded == canonical and [rec["w"] for rec in padded] == [((1, 1), ()), ((2,), ())]
     mixed = sweeps.run_sweep([((1,), (1,), (2,)), ([1], [1], [2, 0])], specs=("ME",))
     assert mixed == [sweeps.check_triple((1,), (1,), (2,), specs=("ME",))] * 2
-
-
-def test_roundtrips_without_pictures_are_refused():
-    # the round-trips are checked against the pictures, so asking for them
-    # without the pictures would skip them silently
-    with pytest.raises(ValueError, match="roundtrips=False"):
-        sweeps.check_triple((1,), (1,), (2,), specs=("ME",), pictures=False)
-    with pytest.raises(ValueError, match="roundtrips=False"):
-        sweeps.run_sweep([], specs=("ME",), pictures=False)
 
 
 def test_record_ok_spots_bad_counts():
@@ -195,10 +191,10 @@ def test_order_independence_fails_when_one_order_reads_another_family(swap_one_m
     # among the two orders
     y, w, z = (1,), (2, 2), (3, 2)
     assert far_eastern(SkewShape(w)) is not middle_eastern(SkewShape(w))
-    rec = sweeps.check_triple(y, w, z, specs=("ME", "FE"), roundtrips=False, pictures=False)
+    rec = sweeps.check_triple(y, w, z, specs=("ME", "FE"), roundtrips=False)
     assert rec["order_independent"] and sweeps.record_ok(rec)
     swap_one_member_under_fe()
-    swapped = sweeps.check_triple(y, w, z, specs=("ME", "FE"), roundtrips=False, pictures=False)
+    swapped = sweeps.check_triple(y, w, z, specs=("ME", "FE"), roundtrips=False)
     assert swapped == dict(rec, order_independent=False)
     assert not sweeps.record_ok(swapped)
 
@@ -284,7 +280,7 @@ def test_identity_check_fails_on_a_non_member(monkeypatch):
     # the two-family sets are checked member by member against the content
     # and lattice definition, so a set that holds a non-member fails
     y, w, z = (2, 1), (2, 1), (3, 2, 1)
-    assert sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)["identity_ok"]
+    assert sweeps.check_triple(y, w, z, roundtrips=False)["identity_ok"]
     outsider = Tableau(SkewShape(z, y), ((2,), (1,), (1,)))  # reading 2, 1, 1
     real = sweeps.lr_families
 
@@ -295,7 +291,7 @@ def test_identity_check_fails_on_a_non_member(monkeypatch):
         return {**families, w: families.get(w, ()) + (outsider,)}
 
     monkeypatch.setattr(sweeps, "lr_families", with_outsider)
-    rec = sweeps.check_triple(y, w, z, roundtrips=False, pictures=False)
+    rec = sweeps.check_triple(y, w, z, roundtrips=False)
     assert not rec["identity_ok"]
     assert not sweeps.record_ok(rec)
 
@@ -409,6 +405,39 @@ def test_roundtrip_catches_a_missing_picture(monkeypatch):
     rec = sweeps.check_triple(*WORKED, specs=ROUNDTRIP)
     assert [e["roundtrip_ok"] for e in rec["orders"]] == [False] * len(ROUNDTRIP)
     assert not sweeps.record_ok(rec) and forward == []
+
+
+@pytest.mark.parametrize(
+    "short_side, counts", [("pictures", (2, 2, 1)), ("classical", (1, 2, 2)), ("two-family", (2, 1, 2))]
+)
+def test_one_count_short_fails_a_record_without_round_trips(monkeypatch, short_side, counts):
+    # without round trips (verify coefficients and order-independence), the
+    # record's counts (c, n_super, pictures) are its only comparison of the
+    # pictures and the two families. The same picture or member goes missing
+    # under every order, so the families stay order-independent and every
+    # member still passes the membership test
+    assert sweeps.record_ok(sweeps.check_triple(*WORKED, specs=ROUNDTRIP, roundtrips=False))
+    y, w, z = WORKED
+    if short_side == "pictures":
+        real_pictures = sweeps.enumerate_pictures
+        monkeypatch.setattr(sweeps, "enumerate_pictures", lambda *args: real_pictures(*args)[1:])
+    else:  # group z of the search on (W, y), or group W.outer of the one on (Z/Y, W.inner)
+        searched, group = ((SkewShape(w), y), z) if short_side == "classical" else ((SkewShape(z, y), ()), w)
+        real = sweeps.lr_families
+
+        def one_short(shape, start, order):
+            families = real(shape, start, order)
+            if (shape, start) != searched:
+                return families
+            members = families[group]
+            dropped = min(members, key=lambda t: t.rows)
+            return {**families, group: tuple(t for t in members if t != dropped)}
+
+        monkeypatch.setattr(sweeps, "lr_families", one_short)
+    short = sweeps.check_triple(*WORKED, specs=ROUNDTRIP, roundtrips=False)
+    assert [(short["c"], short["n_super"], e["pictures"]) for e in short["orders"]] == [counts] * len(ROUNDTRIP)
+    assert short["order_independent"] and short["identity_ok"]
+    assert not sweeps.record_ok(short)
 
 
 def _some_triples():
